@@ -37,6 +37,7 @@
 #include "nesc/command.h"
 #include "nesc/node_cache.h"
 #include "nesc/queue_pair.h"
+#include "nesc/register_table.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
@@ -631,10 +632,10 @@ class Controller : public pcie::FunctionMmioDevice {
     void handle_rewalk(pcie::FunctionId fn);
     void fail_stalled(pcie::FunctionId fn);
     std::uint32_t mgmt_execute(MgmtCommand command);
+    /** False while the optional block behind @p gate is detached. */
+    bool block_attached(reg::Gate gate) const;
 
     // Untrusted-guest containment.
-    /** True when a VF write to @p offset must be rejected (PF-only). */
-    static bool pf_only_write(std::uint64_t offset);
     /** OK, or why the descriptor must be rejected kMalformed. */
     util::Status validate_command(const FunctionContext &c,
                                   const CommandRecord &rec) const;
