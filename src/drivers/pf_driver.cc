@@ -48,6 +48,32 @@ PfDriver::reg_read(pcie::FunctionId fn, std::uint64_t offset)
     return bar_.read(bar_.function_base(fn) + offset, 8);
 }
 
+util::Status
+PfDriver::mgmt_post(ctrl::MgmtCommand command,
+                    std::initializer_list<MgmtStage> staged)
+{
+    for (const MgmtStage &stage : staged)
+        NESC_RETURN_IF_ERROR(
+            reg_write(pcie::kPhysicalFunctionId, stage.offset, stage.value));
+    return reg_write(pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
+                     static_cast<std::uint64_t>(command));
+}
+
+util::Status
+PfDriver::mgmt_command(ctrl::MgmtCommand command,
+                       std::initializer_list<MgmtStage> staged,
+                       const char *rejected,
+                       util::Status (*reject)(std::string))
+{
+    NESC_RETURN_IF_ERROR(mgmt_post(command, staged));
+    NESC_ASSIGN_OR_RETURN(
+        const std::uint64_t status,
+        reg_read(pcie::kPhysicalFunctionId, ctrl::reg::kMgmtStatus));
+    if (status != static_cast<std::uint64_t>(ctrl::MgmtStatus::kOk))
+        return reject(rejected);
+    return util::Status::ok();
+}
+
 util::Result<std::vector<TelemetryEntry>>
 PfDriver::dump_telemetry(pcie::FunctionId fn)
 {
@@ -101,23 +127,15 @@ PfDriver::create_vf(fs::InodeId backing_file, std::uint64_t size_blocks)
         extent::ExtentTreeImage::build(host_memory_, extents, config_.tree));
 
     const pcie::FunctionId fn = next_vf_++;
-    NESC_RETURN_IF_ERROR(
-        reg_write(pcie::kPhysicalFunctionId, ctrl::reg::kMgmtVfId, fn));
-    NESC_RETURN_IF_ERROR(reg_write(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtExtentRoot,
-                                   image.root()));
-    NESC_RETURN_IF_ERROR(reg_write(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtDeviceSize,
-                                   size_blocks));
-    NESC_RETURN_IF_ERROR(reg_write(
-        pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
-        static_cast<std::uint64_t>(ctrl::MgmtCommand::kCreateVf)));
-    NESC_ASSIGN_OR_RETURN(std::uint64_t status,
-                          reg_read(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtStatus));
-    if (status != static_cast<std::uint64_t>(ctrl::MgmtStatus::kOk)) {
+    util::Status created = mgmt_command(
+        ctrl::MgmtCommand::kCreateVf,
+        {{ctrl::reg::kMgmtVfId, fn},
+         {ctrl::reg::kMgmtExtentRoot, image.root()},
+         {ctrl::reg::kMgmtDeviceSize, size_blocks}},
+        "device rejected VF create", util::resource_exhausted_error);
+    if (!created.is_ok()) {
         (void)image.destroy();
-        return util::resource_exhausted_error("device rejected VF create");
+        return created;
     }
     vfs_[fn] = VfInfo{fn, backing_file, size_blocks};
     trees_.emplace(fn, std::move(image));
@@ -136,22 +154,12 @@ PfDriver::create_vf_shared(pcie::FunctionId owner_fn,
     const extent::ExtentTreeImage &tree = trees_.at(root_owner);
 
     const pcie::FunctionId fn = next_vf_++;
-    NESC_RETURN_IF_ERROR(
-        reg_write(pcie::kPhysicalFunctionId, ctrl::reg::kMgmtVfId, fn));
-    NESC_RETURN_IF_ERROR(reg_write(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtExtentRoot,
-                                   tree.root()));
-    NESC_RETURN_IF_ERROR(reg_write(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtDeviceSize,
-                                   size_blocks));
-    NESC_RETURN_IF_ERROR(reg_write(
-        pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
-        static_cast<std::uint64_t>(ctrl::MgmtCommand::kCreateVf)));
-    NESC_ASSIGN_OR_RETURN(std::uint64_t status,
-                          reg_read(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtStatus));
-    if (status != static_cast<std::uint64_t>(ctrl::MgmtStatus::kOk))
-        return util::resource_exhausted_error("device rejected VF create");
+    NESC_RETURN_IF_ERROR(mgmt_command(
+        ctrl::MgmtCommand::kCreateVf,
+        {{ctrl::reg::kMgmtVfId, fn},
+         {ctrl::reg::kMgmtExtentRoot, tree.root()},
+         {ctrl::reg::kMgmtDeviceSize, size_blocks}},
+        "device rejected VF create", util::resource_exhausted_error));
     vfs_[fn] = VfInfo{fn, owner_it->second.backing_file, size_blocks};
     tree_owner_[fn] = root_owner;
     return fn;
@@ -162,19 +170,10 @@ PfDriver::set_qos_weight(pcie::FunctionId fn, std::uint32_t weight)
 {
     if (!vfs_.contains(fn))
         return util::not_found_error("no such VF");
-    NESC_RETURN_IF_ERROR(
-        reg_write(pcie::kPhysicalFunctionId, ctrl::reg::kMgmtVfId, fn));
-    NESC_RETURN_IF_ERROR(reg_write(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtQosWeight, weight));
-    NESC_RETURN_IF_ERROR(reg_write(
-        pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
-        static_cast<std::uint64_t>(ctrl::MgmtCommand::kSetQosWeight)));
-    NESC_ASSIGN_OR_RETURN(std::uint64_t status,
-                          reg_read(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtStatus));
-    if (status != static_cast<std::uint64_t>(ctrl::MgmtStatus::kOk))
-        return util::failed_precondition_error("device rejected QoS update");
-    return util::Status::ok();
+    return mgmt_command(ctrl::MgmtCommand::kSetQosWeight,
+                        {{ctrl::reg::kMgmtVfId, fn},
+                         {ctrl::reg::kMgmtQosWeight, weight}},
+                        "device rejected QoS update");
 }
 
 util::Status
@@ -182,20 +181,10 @@ PfDriver::set_qp_quota(pcie::FunctionId fn, std::uint32_t quota)
 {
     if (!vfs_.contains(fn))
         return util::not_found_error("no such VF");
-    NESC_RETURN_IF_ERROR(
-        reg_write(pcie::kPhysicalFunctionId, ctrl::reg::kMgmtVfId, fn));
-    NESC_RETURN_IF_ERROR(reg_write(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtQpQuota, quota));
-    NESC_RETURN_IF_ERROR(reg_write(
-        pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
-        static_cast<std::uint64_t>(ctrl::MgmtCommand::kSetQpQuota)));
-    NESC_ASSIGN_OR_RETURN(std::uint64_t status,
-                          reg_read(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtStatus));
-    if (status != static_cast<std::uint64_t>(ctrl::MgmtStatus::kOk))
-        return util::failed_precondition_error(
-            "device rejected queue-pair quota update");
-    return util::Status::ok();
+    return mgmt_command(ctrl::MgmtCommand::kSetQpQuota,
+                        {{ctrl::reg::kMgmtVfId, fn},
+                         {ctrl::reg::kMgmtQpQuota, quota}},
+                        "device rejected queue-pair quota update");
 }
 
 util::Status
@@ -204,24 +193,11 @@ PfDriver::set_rate_limit(pcie::FunctionId fn, std::uint64_t bytes_per_sec,
 {
     if (!vfs_.contains(fn))
         return util::not_found_error("no such VF");
-    NESC_RETURN_IF_ERROR(
-        reg_write(pcie::kPhysicalFunctionId, ctrl::reg::kMgmtVfId, fn));
-    NESC_RETURN_IF_ERROR(reg_write(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtRateBytesPerSec,
-                                   bytes_per_sec));
-    NESC_RETURN_IF_ERROR(reg_write(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtRateBurstBytes,
-                                   burst_bytes));
-    NESC_RETURN_IF_ERROR(reg_write(
-        pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
-        static_cast<std::uint64_t>(ctrl::MgmtCommand::kSetRateLimit)));
-    NESC_ASSIGN_OR_RETURN(std::uint64_t status,
-                          reg_read(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtStatus));
-    if (status != static_cast<std::uint64_t>(ctrl::MgmtStatus::kOk))
-        return util::failed_precondition_error(
-            "device rejected rate-limit update");
-    return util::Status::ok();
+    return mgmt_command(ctrl::MgmtCommand::kSetRateLimit,
+                        {{ctrl::reg::kMgmtVfId, fn},
+                         {ctrl::reg::kMgmtRateBytesPerSec, bytes_per_sec},
+                         {ctrl::reg::kMgmtRateBurstBytes, burst_bytes}},
+                        "device rejected rate-limit update");
 }
 
 util::Status
@@ -251,16 +227,9 @@ PfDriver::delete_vf(pcie::FunctionId fn)
                 "VF tree is shared; delete sharers first");
         }
     }
-    NESC_RETURN_IF_ERROR(
-        reg_write(pcie::kPhysicalFunctionId, ctrl::reg::kMgmtVfId, fn));
-    NESC_RETURN_IF_ERROR(reg_write(
-        pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
-        static_cast<std::uint64_t>(ctrl::MgmtCommand::kDeleteVf)));
-    NESC_ASSIGN_OR_RETURN(std::uint64_t status,
-                          reg_read(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtStatus));
-    if (status != static_cast<std::uint64_t>(ctrl::MgmtStatus::kOk))
-        return util::failed_precondition_error("device rejected VF delete");
+    NESC_RETURN_IF_ERROR(mgmt_command(ctrl::MgmtCommand::kDeleteVf,
+                                      {{ctrl::reg::kMgmtVfId, fn}},
+                                      "device rejected VF delete"));
     auto tree_it = trees_.find(fn);
     if (tree_it != trees_.end()) {
         NESC_RETURN_IF_ERROR(tree_it->second.destroy());
@@ -275,10 +244,7 @@ PfDriver::delete_vf(pcie::FunctionId fn)
 util::Status
 PfDriver::flush_btlb()
 {
-    NESC_RETURN_IF_ERROR(reg_write(
-        pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
-        static_cast<std::uint64_t>(ctrl::MgmtCommand::kFlushBtlb)));
-    return util::Status::ok();
+    return mgmt_post(ctrl::MgmtCommand::kFlushBtlb);
 }
 
 bool
@@ -350,35 +316,17 @@ PfDriver::repl_failovers()
 util::Status
 PfDriver::repl_demote(std::uint32_t backend)
 {
-    NESC_RETURN_IF_ERROR(reg_write(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kReplBackendSelect,
-                                   backend));
-    NESC_RETURN_IF_ERROR(reg_write(
-        pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
-        static_cast<std::uint64_t>(ctrl::MgmtCommand::kReplDemote)));
-    NESC_ASSIGN_OR_RETURN(std::uint64_t status,
-                          reg_read(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtStatus));
-    if (status != static_cast<std::uint64_t>(ctrl::MgmtStatus::kOk))
-        return util::failed_precondition_error("device rejected demote");
-    return util::Status::ok();
+    return mgmt_command(ctrl::MgmtCommand::kReplDemote,
+                        {{ctrl::reg::kReplBackendSelect, backend}},
+                        "device rejected demote");
 }
 
 util::Status
 PfDriver::repl_resync(std::uint32_t backend)
 {
-    NESC_RETURN_IF_ERROR(reg_write(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kReplBackendSelect,
-                                   backend));
-    NESC_RETURN_IF_ERROR(reg_write(
-        pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
-        static_cast<std::uint64_t>(ctrl::MgmtCommand::kReplResync)));
-    NESC_ASSIGN_OR_RETURN(std::uint64_t status,
-                          reg_read(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtStatus));
-    if (status != static_cast<std::uint64_t>(ctrl::MgmtStatus::kOk))
-        return util::failed_precondition_error("device rejected resync");
-    return util::Status::ok();
+    return mgmt_command(ctrl::MgmtCommand::kReplResync,
+                        {{ctrl::reg::kReplBackendSelect, backend}},
+                        "device rejected resync");
 }
 
 util::Result<std::uint64_t>
@@ -450,29 +398,15 @@ PfDriver::set_scrub_rate(std::uint64_t batch_blocks,
 util::Status
 PfDriver::scrub_start()
 {
-    NESC_RETURN_IF_ERROR(reg_write(
-        pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
-        static_cast<std::uint64_t>(ctrl::MgmtCommand::kScrubStart)));
-    NESC_ASSIGN_OR_RETURN(std::uint64_t status,
-                          reg_read(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtStatus));
-    if (status != static_cast<std::uint64_t>(ctrl::MgmtStatus::kOk))
-        return util::failed_precondition_error("device rejected scrub start");
-    return util::Status::ok();
+    return mgmt_command(ctrl::MgmtCommand::kScrubStart, {},
+                        "device rejected scrub start");
 }
 
 util::Status
 PfDriver::scrub_abort()
 {
-    NESC_RETURN_IF_ERROR(reg_write(
-        pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
-        static_cast<std::uint64_t>(ctrl::MgmtCommand::kScrubAbort)));
-    NESC_ASSIGN_OR_RETURN(std::uint64_t status,
-                          reg_read(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtStatus));
-    if (status != static_cast<std::uint64_t>(ctrl::MgmtStatus::kOk))
-        return util::failed_precondition_error("device rejected scrub abort");
-    return util::Status::ok();
+    return mgmt_command(ctrl::MgmtCommand::kScrubAbort, {},
+                        "device rejected scrub abort");
 }
 
 util::Result<bool>
@@ -523,23 +457,11 @@ PfDriver::set_slo(pcie::FunctionId fn, std::uint64_t max_p99_ns,
 {
     if (!vfs_.contains(fn))
         return util::not_found_error("no such VF");
-    NESC_RETURN_IF_ERROR(
-        reg_write(pcie::kPhysicalFunctionId, ctrl::reg::kMgmtVfId, fn));
-    NESC_RETURN_IF_ERROR(reg_write(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kSloMaxP99Ns, max_p99_ns));
-    NESC_RETURN_IF_ERROR(reg_write(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kSloMaxErrorPpm,
-                                   max_error_ppm));
-    NESC_RETURN_IF_ERROR(reg_write(
-        pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
-        static_cast<std::uint64_t>(ctrl::MgmtCommand::kSetSlo)));
-    NESC_ASSIGN_OR_RETURN(std::uint64_t status,
-                          reg_read(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtStatus));
-    if (status != static_cast<std::uint64_t>(ctrl::MgmtStatus::kOk))
-        return util::failed_precondition_error(
-            "device rejected SLO update");
-    return util::Status::ok();
+    return mgmt_command(ctrl::MgmtCommand::kSetSlo,
+                        {{ctrl::reg::kMgmtVfId, fn},
+                         {ctrl::reg::kSloMaxP99Ns, max_p99_ns},
+                         {ctrl::reg::kSloMaxErrorPpm, max_error_ppm}},
+                        "device rejected SLO update");
 }
 
 util::Result<SloWindow>
@@ -613,16 +535,8 @@ PfDriver::slo_breaches()
 util::Status
 PfDriver::clear_slo_breaches()
 {
-    NESC_RETURN_IF_ERROR(reg_write(
-        pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
-        static_cast<std::uint64_t>(ctrl::MgmtCommand::kSloBreachClear)));
-    NESC_ASSIGN_OR_RETURN(std::uint64_t status,
-                          reg_read(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtStatus));
-    if (status != static_cast<std::uint64_t>(ctrl::MgmtStatus::kOk))
-        return util::failed_precondition_error(
-            "device rejected breach clear");
-    return util::Status::ok();
+    return mgmt_command(ctrl::MgmtCommand::kSloBreachClear, {},
+                        "device rejected breach clear");
 }
 
 util::Status
@@ -714,16 +628,8 @@ PfDriver::dump_postmortem()
 util::Status
 PfDriver::clear_postmortems()
 {
-    NESC_RETURN_IF_ERROR(reg_write(
-        pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
-        static_cast<std::uint64_t>(ctrl::MgmtCommand::kPostmortemClear)));
-    NESC_ASSIGN_OR_RETURN(std::uint64_t status,
-                          reg_read(pcie::kPhysicalFunctionId,
-                                   ctrl::reg::kMgmtStatus));
-    if (status != static_cast<std::uint64_t>(ctrl::MgmtStatus::kOk))
-        return util::failed_precondition_error(
-            "device rejected postmortem clear");
-    return util::Status::ok();
+    return mgmt_command(ctrl::MgmtCommand::kPostmortemClear, {},
+                        "device rejected postmortem clear");
 }
 
 util::Status
@@ -801,12 +707,8 @@ PfDriver::service_fault(pcie::FunctionId fn)
         // (Figure 5b's "cannot allocate" leg).
         // Modeled as a zero-valued RewalkTree write carrying failure;
         // the device exposes this via the mgmt fail path.
-        NESC_RETURN_IF_ERROR(
-            reg_write(pcie::kPhysicalFunctionId, ctrl::reg::kMgmtVfId, fn));
-        NESC_RETURN_IF_ERROR(reg_write(
-            pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
-            static_cast<std::uint64_t>(ctrl::MgmtCommand::kFailMiss)));
-        return util::Status::ok();
+        return mgmt_post(ctrl::MgmtCommand::kFailMiss,
+                         {{ctrl::reg::kMgmtVfId, fn}});
     }
 
     // Whether this is a write miss (unallocated) or a pruned-subtree
@@ -856,21 +758,11 @@ PfDriver::rebuild_tree(pcie::FunctionId fn)
     for (const auto &[member, member_owner] : tree_owner_) {
         if (member_owner != owner)
             continue;
-        NESC_RETURN_IF_ERROR(reg_write(pcie::kPhysicalFunctionId,
-                                       ctrl::reg::kMgmtVfId, member));
-        NESC_RETURN_IF_ERROR(reg_write(pcie::kPhysicalFunctionId,
-                                       ctrl::reg::kMgmtExtentRoot,
-                                       image.root()));
-        NESC_RETURN_IF_ERROR(reg_write(
-            pcie::kPhysicalFunctionId, ctrl::reg::kMgmtCommand,
-            static_cast<std::uint64_t>(ctrl::MgmtCommand::kSetExtentRoot)));
-        NESC_ASSIGN_OR_RETURN(std::uint64_t status,
-                              reg_read(pcie::kPhysicalFunctionId,
-                                       ctrl::reg::kMgmtStatus));
-        if (status != static_cast<std::uint64_t>(ctrl::MgmtStatus::kOk)) {
-            return util::internal_error(
-                "device rejected extent-root update");
-        }
+        NESC_RETURN_IF_ERROR(mgmt_command(
+            ctrl::MgmtCommand::kSetExtentRoot,
+            {{ctrl::reg::kMgmtVfId, member},
+             {ctrl::reg::kMgmtExtentRoot, image.root()}},
+            "device rejected extent-root update", util::internal_error));
     }
     auto it = trees_.find(owner);
     if (it != trees_.end()) {

@@ -20,6 +20,7 @@
 #ifndef NESC_DRIVERS_PF_DRIVER_H
 #define NESC_DRIVERS_PF_DRIVER_H
 
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -404,6 +405,25 @@ class PfDriver {
                            std::uint64_t value);
     util::Result<std::uint64_t> reg_read(pcie::FunctionId fn,
                                          std::uint64_t offset);
+
+    /** A PF staging-register write that precedes a management command. */
+    struct MgmtStage {
+        std::uint64_t offset;
+        std::uint64_t value;
+    };
+    /** Writes @p staged in order, then MgmtCommand; reads no status. */
+    util::Status mgmt_post(ctrl::MgmtCommand command,
+                           std::initializer_list<MgmtStage> staged = {});
+    /**
+     * mgmt_post, then reads MgmtStatus back: a device rejection becomes
+     * @p reject(@p rejected).
+     */
+    util::Status
+    mgmt_command(ctrl::MgmtCommand command,
+                 std::initializer_list<MgmtStage> staged,
+                 const char *rejected,
+                 util::Status (*reject)(std::string) =
+                     util::failed_precondition_error);
 
     sim::Simulator &simulator_;
     pcie::HostMemory &host_memory_;
