@@ -301,9 +301,8 @@ class Shell {
     void
     ls(std::istringstream &in)
     {
-        std::string path;
-        if (!(in >> path))
-            path = "/";
+        std::string path = "/"; // kept when no path is given
+        in >> path;
         auto entries = bed_.hv_fs().readdir(path);
         if (!entries.is_ok()) {
             std::printf("ls: %s\n",
