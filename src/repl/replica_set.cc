@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstring>
 
+#include "storage/integrity_map.h"
+
 namespace nesc::repl {
 
 ReplicaSet::ReplicaSet(sim::Simulator &simulator,
@@ -59,7 +61,7 @@ ReplicaSet::set_read_timeout(sim::Duration timeout)
 
 void
 ReplicaSet::write(std::uint64_t first_block, std::span<const std::byte> data,
-                  Done done)
+                  const storage::MediaOp &op, Done done)
 {
     auto write = std::make_shared<PendingWrite>();
     write->done = std::move(done);
@@ -114,6 +116,11 @@ ReplicaSet::write(std::uint64_t first_block, std::span<const std::byte> data,
                                    on_write_timeout(i, write);
                                });
     }
+    // The checksum binds the payload the guest wrote, against which
+    // every backend's copy is later judged.
+    if (op.sidecar != nullptr &&
+        !op.sidecar->record(first_block, data).is_ok())
+        write->sidecar_failed = true;
     settle_write(write); // fails fast when quorum is already unreachable
 }
 
@@ -182,7 +189,10 @@ ReplicaSet::settle_write(const std::shared_ptr<PendingWrite> &write)
         write->completed = true;
         ++writes_acked_;
         simulator_.schedule_in(0, [write]() {
-            write->done(util::Status::ok());
+            write->done(write->sidecar_failed
+                            ? util::data_loss_error(
+                                  "checksum sidecar write-through failed")
+                            : util::Status::ok());
         });
         return;
     }
@@ -206,30 +216,33 @@ void
 ReplicaSet::read(std::uint64_t first_block, std::span<std::byte> out,
                  Done done)
 {
-    read_tracked(first_block, out,
-                 [done = std::move(done)](util::Status status,
-                                          int /*backend*/) {
-                     done(std::move(status));
-                 });
+    read(first_block, Buffer(out.size()), {},
+         [out, done = std::move(done)](util::Status status, int /*backend*/,
+                                       Buffer buf) {
+             if (status.is_ok())
+                 std::copy(buf.begin(), buf.end(), out.begin());
+             done(std::move(status));
+         });
 }
 
 void
-ReplicaSet::read_tracked(std::uint64_t first_block,
-                         std::span<std::byte> out, ReadDone done)
+ReplicaSet::read(std::uint64_t first_block, Buffer buf,
+                 const storage::MediaOp & /*op*/, ReadDone done)
 {
     auto read = std::make_shared<PendingRead>();
-    read->out = out;
+    read->buf = std::move(buf);
     read->first_block = first_block;
     read->done = std::move(done);
 
     const std::uint32_t block_size =
         backends_.empty() ? 1 : backends_.front()->store.block_size();
-    if (backends_.empty() || out.empty() || out.size() % block_size != 0 ||
-        first_block + out.size() / block_size > data_blocks()) {
+    const std::uint64_t bytes = read->buf.size();
+    if (backends_.empty() || bytes == 0 || bytes % block_size != 0 ||
+        first_block + bytes / block_size > data_blocks()) {
         simulator_.schedule_in(0, [read]() {
             read->done(
                 util::out_of_range_error("replicated read out of range"),
-                -1);
+                -1, std::move(read->buf));
         });
         return;
     }
@@ -238,38 +251,44 @@ ReplicaSet::read_tracked(std::uint64_t first_block,
 
 void
 ReplicaSet::read_from(std::size_t index, std::uint64_t first_block,
-                      std::span<std::byte> out, Done done)
+                      Buffer buf, ReadDone done)
 {
+    util::Status refused = util::Status::ok();
     if (index >= backends_.size()) {
-        simulator_.schedule_in(0, [done = std::move(done)]() {
-            done(util::out_of_range_error("no such backend"));
+        refused = util::out_of_range_error("no such backend");
+    } else {
+        const Backend &b = *backends_[index];
+        const std::uint32_t block_size = b.store.block_size();
+        const std::uint64_t count =
+            block_size == 0 ? 0 : buf.size() / block_size;
+        if (b.crashed || b.state == BackendState::kDown ||
+            b.dirty.intersects(first_block, count))
+            refused = util::unavailable_error(
+                "backend unavailable or stale over range");
+    }
+    if (!refused.is_ok()) {
+        simulator_.schedule_in(0, [refused = std::move(refused),
+                                   buf = std::move(buf),
+                                   done = std::move(done)]() mutable {
+            done(std::move(refused), -1, std::move(buf));
         });
         return;
     }
     Backend &b = *backends_[index];
-    const std::uint32_t block_size = b.store.block_size();
-    const std::uint64_t count =
-        block_size == 0 ? 0 : out.size() / block_size;
-    if (b.crashed || b.state == BackendState::kDown ||
-        b.dirty.intersects(first_block, count)) {
-        simulator_.schedule_in(0, [done = std::move(done)]() {
-            done(util::unavailable_error(
-                "backend unavailable or stale over range"));
-        });
-        return;
-    }
     const std::uint64_t generation = b.generation;
     sim::Time t = b.store.service_read(simulator_.now() + b.link.latency(),
-                                       first_block, out.size());
-    t = b.link.acquire(t, out.size());
-    simulator_.schedule_at(t, [this, index, generation, first_block, out,
-                               done = std::move(done)]() {
+                                       first_block, buf.size());
+    t = b.link.acquire(t, buf.size());
+    simulator_.schedule_at(t, [this, index, generation, first_block,
+                               buf = std::move(buf),
+                               done = std::move(done)]() mutable {
         Backend &backend = *backends_[index];
-        if (backend.crashed || backend.generation != generation) {
-            done(util::unavailable_error("backend lost mid-read"));
-            return;
-        }
-        done(backend.store.read_blocks(first_block, out));
+        util::Status status =
+            backend.crashed || backend.generation != generation
+                ? util::unavailable_error("backend lost mid-read")
+                : backend.store.read_blocks(first_block, buf);
+        const int served = status.is_ok() ? static_cast<int>(index) : -1;
+        done(std::move(status), served, std::move(buf));
     });
 }
 
@@ -311,7 +330,7 @@ void
 ReplicaSet::issue_read(const std::shared_ptr<PendingRead> &read)
 {
     const std::uint32_t block_size = backends_.front()->store.block_size();
-    const std::uint64_t count = read->out.size() / block_size;
+    const std::uint64_t count = read->buf.size() / block_size;
 
     // Candidates: healthy backends, plus resyncing ones whose dirty
     // log does not cover the range (their copy of it is current).
@@ -353,7 +372,7 @@ ReplicaSet::issue_read(const std::shared_ptr<PendingRead> &read)
         simulator_.schedule_in(0, [read]() {
             read->done(
                 util::unavailable_error("no healthy backend for read"),
-                -1);
+                -1, std::move(read->buf));
         });
         return;
     }
@@ -364,7 +383,7 @@ ReplicaSet::issue_read(const std::shared_ptr<PendingRead> &read)
     Backend &b = *backends_[index];
     const std::uint64_t generation = b.generation;
     const sim::Time now = simulator_.now();
-    const std::uint64_t bytes = read->out.size();
+    const std::uint64_t bytes = read->buf.size();
 
     if (!b.crashed) {
         // Request rides one link latency out; data pays for media and
@@ -384,12 +403,13 @@ ReplicaSet::issue_read(const std::shared_ptr<PendingRead> &read)
                     return;
                 }
                 util::Status status = backend.store.read_blocks(
-                    read->first_block, read->out);
+                    read->first_block, read->buf);
                 if (status.is_ok()) {
                     read->completed = true;
                     ++reads_served_;
                     read->done(util::Status::ok(),
-                               static_cast<int>(index));
+                               static_cast<int>(index),
+                               std::move(read->buf));
                     return;
                 }
                 ++backend.errors;

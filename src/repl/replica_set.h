@@ -42,6 +42,7 @@
 #include "sim/bandwidth_server.h"
 #include "sim/simulator.h"
 #include "storage/block_device.h"
+#include "storage/media.h"
 #include "util/status.h"
 
 namespace nesc::repl {
@@ -81,16 +82,15 @@ enum class BackendState : std::uint8_t {
     kResyncing = 2, ///< catching up; mirrors writes, no stale reads
 };
 
-/** Replicated multi-backend store; see file comment. */
-class ReplicaSet {
+/**
+ * Replicated multi-backend store; see file comment. As the
+ * controller's storage::Media it is the many-backend case.
+ */
+class ReplicaSet final : public storage::Media {
   public:
-    using Done = std::function<void(util::Status)>;
-    /** Completion reporting which backend served (-1 on failure). */
-    using ReadDone = std::function<void(util::Status, int backend)>;
-
     ReplicaSet(sim::Simulator &simulator,
                const ReplicaSetConfig &config = {});
-    ~ReplicaSet();
+    ~ReplicaSet() override;
 
     ReplicaSet(const ReplicaSet &) = delete;
     ReplicaSet &operator=(const ReplicaSet &) = delete;
@@ -109,37 +109,42 @@ class ReplicaSet {
      * Replicated write of whole device blocks at block @p first_block.
      * @p data is copied internally; @p done fires (possibly on a later
      * simulator event) once a quorum of backends is durable, or with
-     * an error when quorum is unreachable.
+     * an error when quorum is unreachable. With a sidecar in @p op the
+     * payload's checksum is recorded once the write is submitted; the
+     * write is still mirrored when that write-through fails, so the
+     * copies match the in-memory checksum, but it completes as failed.
      */
     void write(std::uint64_t first_block, std::span<const std::byte> data,
-               Done done);
+               const storage::MediaOp &op, Done done) override;
+    /** Unchecked write(). */
+    void write(std::uint64_t first_block, std::span<const std::byte> data,
+               Done done)
+    {
+        write(first_block, data, {}, std::move(done));
+    }
 
     /**
-     * Replicated read into @p out, which must stay valid until @p done
-     * fires. Routed to the least-suspect healthy backend; fails over on
-     * timeout or error until backends are exhausted.
+     * Replicated read into @p buf, handed back to @p done with the
+     * index of the backend that served it — the controller's verifying
+     * read path repairs (and skips) that backend when the payload
+     * fails its checksum. Routed to the least-suspect healthy backend;
+     * fails over on timeout or error until backends are exhausted.
      */
+    void read(std::uint64_t first_block, Buffer buf,
+              const storage::MediaOp &op, ReadDone done) override;
+    /** read() into @p out, which must stay valid until @p done fires. */
     void read(std::uint64_t first_block, std::span<std::byte> out,
               Done done);
 
     /**
-     * read() variant whose completion also reports the index of the
-     * backend that served the data — the controller's verifying read
-     * path needs it to know which replica to repair (and which to
-     * exclude) when the payload fails its checksum.
+     * Timed read of @p buf from one specific backend, bypassing
+     * routing: the integrity recovery ladder uses it to fetch
+     * alternate copies. Fails UNAVAILABLE when the backend is down,
+     * crashed, or stale (dirty) over the range — a stale copy must
+     * never be used as repair source. Always answers on a later event.
      */
-    void read_tracked(std::uint64_t first_block, std::span<std::byte> out,
-                      ReadDone done);
-
-    /**
-     * Timed read of @p out from one specific backend, bypassing
-     * routing: the integrity recovery ladder and the scrubber use it
-     * to fetch alternate copies for comparison. Fails UNAVAILABLE when
-     * the backend is down, crashed, or stale (dirty) over the range —
-     * a stale copy must never be used as repair source.
-     */
-    void read_from(std::size_t index, std::uint64_t first_block,
-                   std::span<std::byte> out, Done done);
+    void read_from(std::size_t index, std::uint64_t first_block, Buffer buf,
+                   ReadDone done) override;
 
     /**
      * Writes verified-good data over @p index's copy of the range and
@@ -148,7 +153,7 @@ class ReplicaSet {
      * the scrub/ladder success telemetry.
      */
     util::Status repair_blocks(std::size_t index, std::uint64_t first_block,
-                               std::span<const std::byte> data);
+                               std::span<const std::byte> data) override;
 
     /**
      * Functional (untimed) read of @p index's copy, for the background
@@ -156,7 +161,7 @@ class ReplicaSet {
      * must not pick for it. Same staleness rules as read_from().
      */
     util::Status scrub_read(std::size_t index, std::uint64_t first_block,
-                            std::span<std::byte> out);
+                            std::span<std::byte> out) override;
 
     /// @name Fault-injection and management hooks.
     /// @{
@@ -181,7 +186,7 @@ class ReplicaSet {
 
     /// @name Introspection (PF registers, tests, benches).
     /// @{
-    std::size_t backend_count() const { return backends_.size(); }
+    std::size_t backend_count() const override { return backends_.size(); }
     BackendState backend_state(std::size_t index) const;
     bool backend_crashed(std::size_t index) const;
     std::uint64_t dirty_blocks(std::size_t index) const;
@@ -249,12 +254,14 @@ class ReplicaSet {
         std::uint32_t acks = 0;
         std::uint32_t fails = 0;
         bool completed = false;
+        /** The checksum write-through failed: quorum acks as an error. */
+        bool sidecar_failed = false;
         std::vector<std::uint8_t> resolved; ///< per-backend, 1 = settled
     };
 
     /** Retry bookkeeping for one replicated read. */
     struct PendingRead {
-        std::span<std::byte> out;
+        Buffer buf;
         std::uint64_t first_block = 0;
         ReadDone done;
         std::uint64_t tried_mask = 0;
