@@ -94,7 +94,7 @@ Testbed::init()
                 std::make_unique<storage::MemBlockDevice>(media));
             replicas_->add_backend(*repl_media_.back(), repl.backend);
         }
-        controller_.attach_replicas(replicas_.get());
+        NESC_RETURN_IF_ERROR(controller_.attach_replicas(replicas_.get()));
     }
 
     // 0.5. Optional checksum sidecar: formatted over the (enlarged)
@@ -111,7 +111,7 @@ Testbed::init()
         NESC_ASSIGN_OR_RETURN(
             integrity_,
             storage::IntegrityMap::format(*device_, data_blocks));
-        controller_.attach_integrity(integrity_.get());
+        NESC_RETURN_IF_ERROR(controller_.attach_integrity(integrity_.get()));
     }
 
     // 1. PF driver: data path + fault service (no FS yet).
