@@ -3,22 +3,10 @@
 #include <algorithm>
 #include <cstring>
 
+#include "util/crc32c.h"
 #include "util/units.h"
 
 namespace nesc::fs {
-
-namespace {
-
-std::uint64_t
-payload_checksum(std::span<const std::byte> data)
-{
-    std::uint64_t sum = 0;
-    for (std::byte b : data)
-        sum = sum * 131 + static_cast<std::uint64_t>(b);
-    return sum;
-}
-
-} // namespace
 
 Journal::Journal(blk::BlockIo &io, std::uint64_t start, std::uint64_t nblocks,
                  std::uint64_t next_txn_id)
@@ -77,11 +65,11 @@ Journal::commit_chunk(
     }
     NESC_RETURN_IF_ERROR(io_.write_blocks(ring_block(cursor_++), 1, desc));
 
-    // 2. Payload blocks, accumulating the checksum.
-    std::uint64_t checksum = 0;
+    // 2. Payload blocks, chaining one CRC32C across them in order.
+    std::uint32_t checksum = 0;
     for (const auto &[target, data] : chunk) {
         (void)target;
-        checksum += payload_checksum(data);
+        checksum = util::crc32c(data, checksum);
         NESC_RETURN_IF_ERROR(
             io_.write_blocks(ring_block(cursor_++), 1, data));
     }
@@ -157,12 +145,12 @@ Journal::replay()
                     header.count * sizeof(std::uint64_t));
 
         std::vector<std::vector<std::byte>> payload(header.count);
-        std::uint64_t checksum = 0;
+        std::uint32_t checksum = 0;
         for (std::uint32_t i = 0; i < header.count; ++i) {
             payload[i].resize(kFsBlockSize);
             NESC_RETURN_IF_ERROR(
                 io_.read_blocks(ring_block(pos + 1 + i), 1, payload[i]));
-            checksum += payload_checksum(payload[i]);
+            checksum = util::crc32c(payload[i], checksum);
         }
         NESC_RETURN_IF_ERROR(io_.read_blocks(
             ring_block(pos + 1 + header.count), 1, block));

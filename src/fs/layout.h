@@ -167,7 +167,9 @@ struct JournalCommitRecord {
     std::uint32_t magic; ///< kJournalCommitMagic
     std::uint32_t pad;
     std::uint64_t txn_id;
-    std::uint64_t checksum; ///< sum of payload bytes (torn-write guard)
+    /// CRC32C chained across the payload blocks in order (torn-write
+    /// and reorder guard).
+    std::uint64_t checksum;
 };
 
 /** Max journaled blocks in one transaction (fits one descriptor block). */

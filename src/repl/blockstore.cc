@@ -4,28 +4,15 @@
 #include <cstring>
 #include <vector>
 
+#include "util/crc32c.h"
+
 namespace nesc::repl {
-
-namespace {
-
-// Same rolling checksum as the fs journal: cheap, order-sensitive,
-// and plenty to detect a torn payload in the simulator.
-std::uint64_t
-payload_checksum(std::span<const std::byte> data)
-{
-    std::uint64_t sum = 0;
-    for (std::byte b : data)
-        sum = sum * 131 + static_cast<std::uint64_t>(b);
-    return sum;
-}
-
-} // namespace
 
 JournaledBlockstore::JournaledBlockstore(storage::BlockDevice &media,
                                          std::uint64_t journal_blocks)
     : media_(media),
       block_size_(media.geometry().logical_block_size),
-      journal_blocks_(journal_blocks)
+      journal_blocks_(journal_blocks), staging_(block_size_)
 {
     const std::uint64_t total = media_.geometry().num_blocks();
     // A usable ring needs desc + payload + commit; clamp rather than
@@ -49,7 +36,8 @@ JournaledBlockstore::commit_txn(std::uint64_t first_block,
         cursor_ += journal_blocks_ - cursor_ % journal_blocks_;
 
     // 1. Descriptor block: header + target block numbers.
-    std::vector<std::byte> block(block_size_);
+    std::span<std::byte> block(staging_);
+    std::fill(block.begin(), block.end(), std::byte{0});
     ReplDescHeader header{kReplDescMagic, static_cast<std::uint32_t>(count),
                           0, txn_id};
     std::memcpy(block.data(), &header, sizeof(header));
@@ -62,11 +50,11 @@ JournaledBlockstore::commit_txn(std::uint64_t first_block,
     NESC_RETURN_IF_ERROR(media_.write(ring_offset(cursor_++), block));
     ++writes_submitted_;
 
-    // 2. Payload blocks, accumulating the checksum.
-    std::uint64_t checksum = 0;
+    // 2. Payload blocks, chaining one CRC32C across them in order.
+    std::uint32_t checksum = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
         const auto payload = data.subspan(i * block_size_, block_size_);
-        checksum += payload_checksum(payload);
+        checksum = util::crc32c(payload, checksum);
         NESC_RETURN_IF_ERROR(
             media_.write(ring_offset(cursor_++), payload));
     }
@@ -173,12 +161,12 @@ JournaledBlockstore::recover()
                     header.count * sizeof(std::uint64_t));
 
         std::vector<std::vector<std::byte>> payload(header.count);
-        std::uint64_t checksum = 0;
+        std::uint32_t checksum = 0;
         for (std::uint32_t i = 0; i < header.count; ++i) {
             payload[i].resize(block_size_);
             NESC_RETURN_IF_ERROR(
                 media_.read(ring_offset(pos + 1 + i), payload[i]));
-            checksum += payload_checksum(payload[i]);
+            checksum = util::crc32c(payload[i], checksum);
         }
         NESC_RETURN_IF_ERROR(
             media_.read(ring_offset(pos + 1 + header.count), block));

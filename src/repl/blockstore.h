@@ -12,9 +12,9 @@
  *   stable     : checkpointed in place, journal space reclaimable
  *
  * The on-media format mirrors `fs/journal.h` (descriptor block with
- * target list, payload blocks, commit record with payload checksum,
- * then in-place checkpoint; transactions never wrap across the ring
- * boundary) but lives at device-block granularity in a reserved region
+ * target list, payload blocks, commit record with a CRC32C chained
+ * across the payload blocks in order, then in-place checkpoint;
+ * transactions never wrap across the ring boundary) but lives at device-block granularity in a reserved region
  * at the *end* of the backing device, so the data region keeps its
  * zero-based addressing. `recover()` replays every committed-but-
  * possibly-torn transaction in ascending txn order and stops at the
@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "sim/time.h"
 #include "storage/block_device.h"
@@ -55,6 +56,7 @@ struct ReplDescHeader {
 struct ReplCommitRecord {
     std::uint64_t magic = 0;
     std::uint64_t txn_id = 0;
+    /** CRC32C chained across the payload blocks in order. */
     std::uint64_t checksum = 0;
 };
 
@@ -138,6 +140,8 @@ class JournaledBlockstore {
     std::uint64_t data_blocks_;
     std::uint64_t cursor_ = 0; ///< ring write position (journal-relative)
     std::uint64_t next_txn_id_ = 1;
+    /** One block for descriptor and commit records, reused per txn. */
+    std::vector<std::byte> staging_;
 
     std::uint64_t writes_started_ = 0;
     std::uint64_t writes_submitted_ = 0;

@@ -13,15 +13,19 @@
  * anything unacknowledged is re-copied.
  *
  * Ranges are kept merged and disjoint, so the log is O(fragments), not
- * O(blocks), and resync batches walk it in address order.
+ * O(blocks), and resync batches walk it in address order. They sit in
+ * one sorted vector: a healthy backend's log is a handful of in-flight
+ * ranges, so marking and clearing them reuses the vector's storage
+ * instead of allocating a tree node per write.
  */
 #ifndef NESC_REPL_DIRTY_LOG_H
 #define NESC_REPL_DIRTY_LOG_H
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <iterator>
 #include <optional>
-#include <utility>
+#include <vector>
 
 namespace nesc::repl {
 
@@ -42,21 +46,23 @@ class DirtyLog {
             return;
         std::uint64_t lo = first;
         std::uint64_t hi = first + count;
-        // Absorb any range that overlaps or abuts [lo, hi).
-        auto it = ranges_.upper_bound(lo);
-        if (it != ranges_.begin()) {
-            auto prev = std::prev(it);
-            if (prev->first + prev->second >= lo)
-                it = prev;
+        // Absorb every range that overlaps or abuts [lo, hi).
+        auto it = after(ranges_, lo);
+        if (it != ranges_.begin() && end_of(*std::prev(it)) >= lo)
+            --it;
+        auto last = it;
+        for (; last != ranges_.end() && last->first <= hi; ++last) {
+            lo = std::min(lo, last->first);
+            hi = std::max(hi, end_of(*last));
+            total_ -= last->count;
         }
-        while (it != ranges_.end() && it->first <= hi) {
-            lo = std::min(lo, it->first);
-            hi = std::max(hi, it->first + it->second);
-            total_ -= it->second;
-            it = ranges_.erase(it);
-        }
-        ranges_[lo] = hi - lo;
         total_ += hi - lo;
+        if (it == last) {
+            ranges_.insert(it, Range{lo, hi - lo});
+            return;
+        }
+        *it = Range{lo, hi - lo};
+        ranges_.erase(std::next(it), last);
     }
 
     /** Clears [first, first + count); splits ranges as needed. */
@@ -67,26 +73,34 @@ class DirtyLog {
             return;
         const std::uint64_t lo = first;
         const std::uint64_t hi = first + count;
-        auto it = ranges_.lower_bound(lo);
-        if (it != ranges_.begin()) {
-            auto prev = std::prev(it);
-            if (prev->first + prev->second > lo)
-                it = prev;
-        }
-        while (it != ranges_.end() && it->first < hi) {
-            const std::uint64_t r_lo = it->first;
-            const std::uint64_t r_hi = it->first + it->second;
-            total_ -= it->second;
-            it = ranges_.erase(it);
-            if (r_lo < lo) {
-                ranges_[r_lo] = lo - r_lo;
-                total_ += lo - r_lo;
+        auto it = std::lower_bound(
+            ranges_.begin(), ranges_.end(), lo,
+            [](const Range &r, std::uint64_t v) { return r.first < v; });
+        if (it != ranges_.begin() && end_of(*std::prev(it)) > lo)
+            --it;
+        auto last = it;
+        for (; last != ranges_.end() && last->first < hi; ++last)
+            total_ -= last->count;
+        if (it == last)
+            return;
+        // Only the first and last overlapped ranges can leave a piece
+        // outside [lo, hi).
+        const Range head{it->first, lo > it->first ? lo - it->first : 0};
+        const std::uint64_t tail_end = end_of(*std::prev(last));
+        const Range tail{hi, tail_end > hi ? tail_end - hi : 0};
+        total_ += head.count + tail.count;
+        auto out = it;
+        if (head.count > 0)
+            *out++ = head;
+        if (tail.count > 0) {
+            if (out == last) {
+                // One range split in two: the tail needs a new slot.
+                ranges_.insert(last, tail);
+                return;
             }
-            if (r_hi > hi) {
-                ranges_[hi] = r_hi - hi;
-                total_ += r_hi - hi;
-            }
+            *out++ = tail;
         }
+        ranges_.erase(out, last);
     }
 
     /** True when [first, first + count) is fully dirty. */
@@ -95,12 +109,11 @@ class DirtyLog {
     {
         if (count == 0)
             return true;
-        auto it = ranges_.upper_bound(first);
+        auto it = after(ranges_, first);
         if (it == ranges_.begin())
             return false;
         --it;
-        return it->first <= first &&
-               it->first + it->second >= first + count;
+        return end_of(*it) >= first + count;
     }
 
     /** True when any block of [first, first + count) is dirty. */
@@ -109,13 +122,12 @@ class DirtyLog {
     {
         if (count == 0)
             return false;
-        auto it = ranges_.upper_bound(first);
+        auto it = after(ranges_, first);
         if (it != ranges_.end() && it->first < first + count)
             return true;
         if (it == ranges_.begin())
             return false;
-        --it;
-        return it->first + it->second > first;
+        return end_of(*std::prev(it)) > first;
     }
 
     /**
@@ -127,8 +139,8 @@ class DirtyLog {
     {
         if (ranges_.empty() || max_blocks == 0)
             return std::nullopt;
-        const auto &[lo, count] = *ranges_.begin();
-        return Range{lo, std::min(count, max_blocks)};
+        const Range &r = ranges_.front();
+        return Range{r.first, std::min(r.count, max_blocks)};
     }
 
     bool empty() const { return ranges_.empty(); }
@@ -137,6 +149,7 @@ class DirtyLog {
     /** Number of disjoint ranges (fragmentation metric). */
     std::size_t range_count() const { return ranges_.size(); }
 
+    /** Empties the log; its storage is kept for reuse. */
     void
     clear()
     {
@@ -145,7 +158,20 @@ class DirtyLog {
     }
 
   private:
-    std::map<std::uint64_t, std::uint64_t> ranges_; ///< first -> count
+    static std::uint64_t end_of(const Range &r) { return r.first + r.count; }
+
+    /** First range of @p ranges starting strictly after @p block. */
+    template <typename Ranges>
+    static auto
+    after(Ranges &ranges, std::uint64_t block) -> decltype(ranges.begin())
+    {
+        return std::upper_bound(
+            ranges.begin(), ranges.end(), block,
+            [](std::uint64_t v, const Range &r) { return v < r.first; });
+    }
+
+    /** Sorted by first block; disjoint and never abutting. */
+    std::vector<Range> ranges_;
     std::uint64_t total_ = 0;
 };
 

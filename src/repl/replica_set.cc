@@ -22,7 +22,8 @@ std::size_t
 ReplicaSet::add_backend(storage::BlockDevice &media,
                         const BackendConfig &config)
 {
-    assert(backends_.size() < 64 && "tried_mask is a 64-bit bitmap");
+    assert(backends_.size() < 64 &&
+           "tried_mask and resolved are 64-bit bitmaps");
     backends_.push_back(std::make_unique<Backend>(media, config));
     return backends_.size() - 1;
 }
@@ -63,10 +64,11 @@ void
 ReplicaSet::write(std::uint64_t first_block, std::span<const std::byte> data,
                   const storage::MediaOp &op, Done done)
 {
-    auto write = std::make_shared<PendingWrite>();
-    write->done = std::move(done);
-    write->first_block = first_block;
-    write->resolved.assign(backends_.size(), 0);
+    std::shared_ptr<PendingWrite> write = write_pool_.acquire();
+    // A recycled record keeps its payload storage; all else restarts.
+    *write = PendingWrite{.payload = std::move(write->payload),
+                          .first_block = first_block,
+                          .done = std::move(done)};
 
     const std::uint32_t block_size =
         backends_.empty() ? 1 : backends_.front()->store.block_size();
@@ -135,7 +137,8 @@ ReplicaSet::on_write_ack(std::size_t index, std::uint64_t generation,
         // timeout event settle the target.
         return;
     }
-    if (write->resolved[index]) {
+    const std::uint64_t bit = 1ULL << index;
+    if (write->resolved & bit) {
         // The timeout settled this target first, but the backend is
         // alive and the data did land. Apply it anyway and clear the
         // dirty marker: a backend that never leaves kHealthy is never
@@ -146,7 +149,7 @@ ReplicaSet::on_write_ack(std::size_t index, std::uint64_t generation,
             b.dirty.remove(write->first_block, write->count);
         return;
     }
-    write->resolved[index] = 1;
+    write->resolved |= bit;
     // Functional apply happens at ack time — and even after quorum has
     // been reported, so slow backends still converge.
     util::Status status =
@@ -166,9 +169,10 @@ void
 ReplicaSet::on_write_timeout(std::size_t index,
                              const std::shared_ptr<PendingWrite> &write)
 {
-    if (write->resolved[index])
+    const std::uint64_t bit = 1ULL << index;
+    if (write->resolved & bit)
         return; // the ack beat the deadline: nothing to do
-    write->resolved[index] = 1;
+    write->resolved |= bit;
     Backend &b = *backends_[index];
     ++b.timeouts;
     ++write->fails;
@@ -229,10 +233,10 @@ void
 ReplicaSet::read(std::uint64_t first_block, Buffer buf,
                  const storage::MediaOp & /*op*/, ReadDone done)
 {
-    auto read = std::make_shared<PendingRead>();
-    read->buf = std::move(buf);
-    read->first_block = first_block;
-    read->done = std::move(done);
+    std::shared_ptr<PendingRead> read = read_pool_.acquire();
+    *read = PendingRead{.buf = std::move(buf),
+                        .first_block = first_block,
+                        .done = std::move(done)};
 
     const std::uint32_t block_size =
         backends_.empty() ? 1 : backends_.front()->store.block_size();

@@ -256,7 +256,7 @@ class ReplicaSet final : public storage::Media {
         bool completed = false;
         /** The checksum write-through failed: quorum acks as an error. */
         bool sidecar_failed = false;
-        std::vector<std::uint8_t> resolved; ///< per-backend, 1 = settled
+        std::uint64_t resolved = 0; ///< bit per backend, 1 = settled
     };
 
     /** Retry bookkeeping for one replicated read. */
@@ -267,6 +267,39 @@ class ReplicaSet final : public storage::Media {
         std::uint64_t tried_mask = 0;
         std::uint64_t attempt = 0; ///< invalidates stale completions
         bool completed = false;
+    };
+
+    /**
+     * Hands out PendingWrite/PendingRead records for reuse once no
+     * scheduled event holds them any more (the pool's reference is the
+     * only one left), so a steady stream of I/O allocates no records
+     * and reuses each write's payload storage. Records settle about in
+     * the order they were handed out — every one waits out the same
+     * timeout event — so the oldest record is the one checked. Events
+     * own their records, so none dangles if the set goes first.
+     */
+    template <typename T>
+    class Recycler {
+      public:
+        std::shared_ptr<T>
+        acquire()
+        {
+            if (!pool_.empty() && pool_[next_].use_count() == 1) {
+                std::shared_ptr<T> &oldest = pool_[next_];
+                next_ = (next_ + 1) % pool_.size();
+                return oldest;
+            }
+            // Still in use: grow, placing the new record last in age.
+            auto fresh = std::make_shared<T>();
+            pool_.insert(pool_.begin() + static_cast<std::ptrdiff_t>(next_),
+                         fresh);
+            next_ = (next_ + 1) % pool_.size();
+            return fresh;
+        }
+
+      private:
+        std::vector<std::shared_ptr<T>> pool_;
+        std::size_t next_ = 0; ///< oldest record
     };
 
     void on_write_ack(std::size_t index, std::uint64_t generation,
@@ -284,6 +317,8 @@ class ReplicaSet final : public storage::Media {
     sim::Simulator &simulator_;
     ReplicaSetConfig config_;
     std::vector<std::unique_ptr<Backend>> backends_;
+    Recycler<PendingWrite> write_pool_;
+    Recycler<PendingRead> read_pool_;
 
     std::uint64_t writes_acked_ = 0;
     std::uint64_t writes_failed_ = 0;

@@ -22,7 +22,7 @@ header_crc(IntegrityHeader header)
 IntegrityMap::IntegrityMap(BlockDevice &device, std::uint64_t data_blocks)
     : device_(device), data_blocks_(data_blocks),
       block_size_(device.geometry().logical_block_size),
-      table_(data_blocks, 0)
+      table_(data_blocks, 0), staging_(block_size_)
 {
 }
 
@@ -130,12 +130,14 @@ IntegrityMap::write_table_block(std::uint64_t plba)
     const std::uint64_t first = plba / per_block * per_block;
     const std::uint64_t table_block =
         data_blocks_ + 1 + first / per_block;
-    std::vector<std::byte> block(block_size_);
     const std::uint64_t count =
         std::min<std::uint64_t>(per_block, data_blocks_ - first);
-    std::memcpy(block.data(), table_.data() + first,
-                count * sizeof(std::uint32_t));
-    return device_.write(table_block * block_size_, block);
+    const std::size_t used = count * sizeof(std::uint32_t);
+    std::memcpy(staging_.data(), table_.data() + first, used);
+    // Only the last table block is partial; its tail stays zero.
+    std::fill(staging_.begin() + static_cast<std::ptrdiff_t>(used),
+              staging_.end(), std::byte{0});
+    return device_.write(table_block * block_size_, staging_);
 }
 
 util::Status

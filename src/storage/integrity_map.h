@@ -115,6 +115,8 @@ class IntegrityMap {
     std::uint64_t data_blocks_;
     std::uint32_t block_size_;
     std::vector<std::uint32_t> table_;
+    /** One sidecar block, reused by every table write-through. */
+    std::vector<std::byte> staging_;
 
     std::uint64_t records_ = 0;
     std::uint64_t verifies_ = 0;

@@ -1,6 +1,11 @@
 #include "util/crc32c.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace nesc::util {
 
@@ -32,10 +37,49 @@ struct Crc32cTables {
 
 constexpr Crc32cTables kTables{};
 
+#if defined(__x86_64__)
+
+/**
+ * The SSE4.2 CRC32 instruction computes exactly this polynomial with
+ * the same reflected bit order, so it returns the table path's value
+ * for every input.
+ */
+__attribute__((target("sse4.2"))) std::uint32_t
+crc32c_sse42(std::span<const std::byte> data, std::uint32_t seed)
+{
+    std::uint64_t crc = ~seed;
+    const std::byte *p = data.data();
+    std::size_t n = data.size();
+
+    while (n >= 8) {
+        std::uint64_t word;
+        std::memcpy(&word, p, sizeof(word));
+        crc = _mm_crc32_u64(crc, word);
+        p += 8;
+        n -= 8;
+    }
+    auto crc32 = static_cast<std::uint32_t>(crc);
+    while (n-- > 0)
+        crc32 = _mm_crc32_u8(crc32, static_cast<std::uint8_t>(*p++));
+    return ~crc32;
+}
+
+bool
+have_sse42()
+{
+    // Safe however early the first checksum runs (static init included).
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sse4.2");
+}
+
+#endif
+
 } // namespace
 
+namespace detail {
+
 std::uint32_t
-crc32c(std::span<const std::byte> data, std::uint32_t seed)
+crc32c_portable(std::span<const std::byte> data, std::uint32_t seed)
 {
     std::uint32_t crc = ~seed;
     const std::byte *p = data.data();
@@ -56,6 +100,19 @@ crc32c(std::span<const std::byte> data, std::uint32_t seed)
               kTables.t[0][(crc ^ static_cast<std::uint32_t>(*p++)) & 0xff];
     }
     return ~crc;
+}
+
+} // namespace detail
+
+std::uint32_t
+crc32c(std::span<const std::byte> data, std::uint32_t seed)
+{
+#if defined(__x86_64__)
+    static const bool hw = have_sse42();
+    if (hw)
+        return crc32c_sse42(data, seed);
+#endif
+    return detail::crc32c_portable(data, seed);
 }
 
 } // namespace nesc::util

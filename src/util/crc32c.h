@@ -5,10 +5,12 @@
  * (storage::IntegrityMap), extent-tree v2 node trailers, and nestfs
  * metadata block checksums.
  *
- * Table-driven (slicing-by-4) software implementation so the simulator
- * is bit-identical across hosts regardless of SSE4.2 availability; the
- * polynomial matches iSCSI/ext4/Btrfs so sidecar images are what real
- * storage stacks would persist.
+ * On x86-64 hosts with SSE4.2 the CRC32 instruction computes it 8
+ * bytes at a time; elsewhere a table-driven slicing-by-4 loop does.
+ * The path is picked once, at the first call, and both return the same
+ * value for every input, so simulated results never depend on the host
+ * CPU. The polynomial matches iSCSI/ext4/Btrfs so sidecar images are
+ * what real storage stacks would persist.
  */
 #ifndef NESC_UTIL_CRC32C_H
 #define NESC_UTIL_CRC32C_H
@@ -37,6 +39,17 @@ crc32c(const void *data, std::size_t size, std::uint32_t seed = 0)
                                    size),
         seed);
 }
+
+namespace detail {
+
+/**
+ * The slicing-by-4 software path crc32c() falls back to without
+ * SSE4.2. Exposed so tests can hold the two paths against each other.
+ */
+std::uint32_t crc32c_portable(std::span<const std::byte> data,
+                              std::uint32_t seed = 0);
+
+} // namespace detail
 
 } // namespace nesc::util
 

@@ -11,6 +11,8 @@
 
 #include <cstring>
 #include <memory>
+#include <random>
+#include <span>
 #include <vector>
 
 #include "blocklayer/device_block_io.h"
@@ -70,6 +72,76 @@ TEST(Crc32c, SensitiveToSingleBitFlips)
         std::vector<std::byte> damaged = data;
         damaged[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
         EXPECT_NE(util::crc32c(damaged), clean) << "bit " << bit;
+    }
+}
+
+// crc32c() runs the SSE4.2 instruction where the host has it;
+// detail::crc32c_portable() is the table fallback. Simulated results
+// may not depend on the host CPU, so the two must agree on every input.
+
+std::vector<std::byte>
+random_bytes(std::mt19937_64 &rng, std::size_t size)
+{
+    std::vector<std::byte> out(size);
+    for (auto &b : out)
+        b = static_cast<std::byte>(rng());
+    return out;
+}
+
+TEST(Crc32cPaths, BothMatchCastagnoliCheckValue)
+{
+    const char digits[] = "123456789";
+    const auto bytes = std::as_bytes(std::span<const char>(digits, 9));
+    EXPECT_EQ(util::crc32c(bytes), 0xe3069283u);
+    EXPECT_EQ(util::detail::crc32c_portable(bytes), 0xe3069283u);
+}
+
+TEST(Crc32cPaths, AgreeAtEveryShortLengthAndOffset)
+{
+    std::mt19937_64 rng(18);
+    const std::vector<std::byte> buf = random_bytes(rng, 64 + 8);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 64; ++len) {
+            const auto piece =
+                std::span<const std::byte>(buf).subspan(offset, len);
+            for (std::uint32_t seed : {0u, 0xdeadbeefu}) {
+                EXPECT_EQ(util::crc32c(piece, seed),
+                          util::detail::crc32c_portable(piece, seed))
+                    << "offset " << offset << " len " << len << " seed "
+                    << seed;
+            }
+        }
+    }
+}
+
+TEST(Crc32cPaths, AgreeOnRandomBlocks)
+{
+    std::mt19937_64 rng(4096);
+    for (int round = 0; round < 64; ++round) {
+        const std::vector<std::byte> block = random_bytes(rng, 4096);
+        const auto seed = static_cast<std::uint32_t>(rng());
+        EXPECT_EQ(util::crc32c(block, seed),
+                  util::detail::crc32c_portable(block, seed))
+            << "round " << round;
+    }
+}
+
+TEST(Crc32cPaths, SeedChainingHoldsAtEverySplit)
+{
+    std::mt19937_64 rng(9);
+    const std::vector<std::byte> data = random_bytes(rng, 200);
+    const std::span<const std::byte> all(data);
+    const std::uint32_t whole = util::detail::crc32c_portable(all);
+    EXPECT_EQ(util::crc32c(all), whole);
+    for (std::size_t split = 0; split <= data.size(); ++split) {
+        const auto head = all.first(split);
+        const auto tail = all.subspan(split);
+        EXPECT_EQ(util::crc32c(tail, util::crc32c(head)), whole)
+            << "split at " << split;
+        EXPECT_EQ(util::detail::crc32c_portable(
+                      tail, util::detail::crc32c_portable(head)),
+                  whole)
+            << "split at " << split;
     }
 }
 

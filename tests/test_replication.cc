@@ -7,6 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <set>
 #include <vector>
 
 #include "nesc/controller.h"
@@ -75,6 +78,77 @@ TEST(DirtyLog, FirstClipsToBatch)
     EXPECT_EQ(range->count, 16u);
     log.clear();
     EXPECT_FALSE(log.first(16).has_value());
+}
+
+TEST(DirtyLog, MatchesBlockSetModel)
+{
+    // Randomized add/remove against a plain set of dirty blocks. The
+    // address space is small so ranges keep abutting, merging and
+    // splitting; each trial leans toward adds or removes differently.
+    constexpr std::uint64_t kSpace = 256;
+    std::mt19937_64 rng(2024);
+    for (int trial = 0; trial < 200; ++trial) {
+        DirtyLog log;
+        std::set<std::uint64_t> model;
+        const std::uint64_t add_pct = 30 + trial % 41;
+        for (int step = 0; step < 2000; ++step) {
+            const std::uint64_t first = rng() % kSpace;
+            const std::uint64_t count = rng() % 17;
+            if (rng() % 100 < add_pct) {
+                log.add(first, count);
+                for (std::uint64_t b = first; b < first + count; ++b)
+                    model.insert(b);
+            } else {
+                log.remove(first, count);
+                for (std::uint64_t b = first; b < first + count; ++b)
+                    model.erase(b);
+            }
+
+            // Maximal runs of the model, in address order.
+            std::vector<DirtyLog::Range> runs;
+            for (std::uint64_t b : model) {
+                if (!runs.empty() &&
+                    runs.back().first + runs.back().count == b)
+                    ++runs.back().count;
+                else
+                    runs.push_back({b, 1});
+            }
+            ASSERT_EQ(log.total_blocks(), model.size())
+                << "trial " << trial << " step " << step;
+            ASSERT_EQ(log.range_count(), runs.size())
+                << "trial " << trial << " step " << step;
+            ASSERT_EQ(log.empty(), model.empty());
+
+            const std::uint64_t batch = rng() % 20;
+            const auto head = log.first(batch);
+            if (runs.empty() || batch == 0) {
+                ASSERT_FALSE(head.has_value());
+            } else {
+                ASSERT_TRUE(head.has_value());
+                ASSERT_EQ(head->first, runs.front().first);
+                ASSERT_EQ(head->count, std::min(runs.front().count, batch));
+            }
+
+            for (int query = 0; query < 4; ++query) {
+                const std::uint64_t q_first = rng() % (kSpace + 16);
+                const std::uint64_t q_count = rng() % 17;
+                bool all = true;
+                bool any = false;
+                for (std::uint64_t b = q_first; b < q_first + q_count; ++b) {
+                    const bool dirty = model.contains(b);
+                    all = all && dirty;
+                    any = any || dirty;
+                }
+                ASSERT_EQ(log.covers(q_first, q_count), all)
+                    << "trial " << trial << " step " << step << " covers ["
+                    << q_first << ", +" << q_count << ")";
+                ASSERT_EQ(log.intersects(q_first, q_count), any)
+                    << "trial " << trial << " step " << step
+                    << " intersects [" << q_first << ", +" << q_count
+                    << ")";
+            }
+        }
+    }
 }
 
 // --- JournaledBlockstore -------------------------------------------------
@@ -150,6 +224,95 @@ TEST(JournaledBlockstore, RecoverIsIdempotentOnCleanStore)
     auto twice = again.recover();
     ASSERT_TRUE(twice.is_ok());
     EXPECT_EQ(*twice, *replayed);
+}
+
+/**
+ * Commits one transaction of @p blocks distinct blocks at data block 7,
+ * applies @p damage to the device, clobbers the in-place copies as if
+ * the checkpoint never landed, and runs recovery on a fresh store.
+ * Returns the replay count; @p after receives the data region's blocks.
+ */
+template <typename Damage>
+std::uint64_t
+replay_after(std::uint64_t blocks, Damage damage,
+             std::vector<std::byte> &written, std::vector<std::byte> &after)
+{
+    storage::MemBlockDevice dev(fast_media());
+    JournaledBlockstore store(dev, 16);
+    const std::uint32_t bs = store.block_size();
+    written.assign(blocks * bs, std::byte{0});
+    for (std::uint64_t i = 0; i < blocks; ++i)
+        wl::fill_pattern(5 + i, 0,
+                         std::span(written).subspan(i * bs, bs));
+    EXPECT_TRUE(store.write_blocks(7, written).is_ok());
+
+    // The transaction sits at the ring head: descriptor in slot 0,
+    // payload in slots 1.., then the commit record.
+    damage(dev, store.data_blocks() * bs, bs);
+    const std::vector<std::byte> clobber(blocks * bs, std::byte{0xee});
+    EXPECT_TRUE(dev.write(7 * bs, clobber).is_ok());
+
+    JournaledBlockstore again(dev, 16);
+    auto replayed = again.recover();
+    EXPECT_TRUE(replayed.is_ok());
+    after.assign(blocks * bs, std::byte{0});
+    EXPECT_TRUE(again.read_blocks(7, after).is_ok());
+    return replayed.is_ok() ? *replayed : ~0ULL;
+}
+
+TEST(JournaledBlockstore, CorruptPayloadNotReplayed)
+{
+    std::vector<std::byte> written, after;
+    const std::vector<std::byte> clobber(1024, std::byte{0xee});
+    // Undamaged, the committed transaction replays over the clobber.
+    EXPECT_EQ(replay_after(
+                  1, [](auto &, std::uint64_t, std::uint32_t) {}, written,
+                  after),
+              1u);
+    EXPECT_EQ(after, written);
+
+    // One flipped payload byte fails the commit CRC: nothing replays.
+    EXPECT_EQ(replay_after(
+                  1,
+                  [](storage::MemBlockDevice &dev, std::uint64_t ring,
+                     std::uint32_t bs) {
+                      std::byte b{};
+                      const std::uint64_t at = ring + bs + 100;
+                      ASSERT_TRUE(dev.read(at, std::span(&b, 1)).is_ok());
+                      b ^= std::byte{0x01};
+                      ASSERT_TRUE(dev.write(at, std::span(&b, 1)).is_ok());
+                  },
+                  written, after),
+              0u);
+    EXPECT_EQ(after, clobber);
+}
+
+TEST(JournaledBlockstore, ReorderedPayloadNotReplayed)
+{
+    std::vector<std::byte> written, after;
+    const std::vector<std::byte> clobber(2 * 1024, std::byte{0xee});
+    EXPECT_EQ(replay_after(
+                  2, [](auto &, std::uint64_t, std::uint32_t) {}, written,
+                  after),
+              1u);
+    EXPECT_EQ(after, written);
+
+    // Swapped payload blocks keep every byte, but the chained CRC is
+    // order-sensitive, so the transaction no longer verifies.
+    EXPECT_EQ(replay_after(
+                  2,
+                  [](storage::MemBlockDevice &dev, std::uint64_t ring,
+                     std::uint32_t bs) {
+                      std::vector<std::byte> one(bs), two(bs);
+                      ASSERT_TRUE(dev.read(ring + bs, one).is_ok());
+                      ASSERT_TRUE(dev.read(ring + 2 * bs, two).is_ok());
+                      ASSERT_NE(one, two);
+                      ASSERT_TRUE(dev.write(ring + bs, two).is_ok());
+                      ASSERT_TRUE(dev.write(ring + 2 * bs, one).is_ok());
+                  },
+                  written, after),
+              0u);
+    EXPECT_EQ(after, clobber);
 }
 
 // --- ReplicaSet ----------------------------------------------------------
