@@ -60,15 +60,6 @@ Controller::Controller(sim::Simulator &simulator,
       quarantine_window_(config.quarantine_window),
       link_observer_(tracer_)
 {
-    // Event-lane layout: shared lanes are opened once here;
-    // per-function mode opens a lane per active function instead
-    // (PF now, VFs at kCreateVf). Lane 0 stays the shared default
-    // lane carrying DMA, link and media events.
-    if (config_.event_lanes > 0) {
-        shared_lanes_.reserve(config_.event_lanes);
-        for (std::uint32_t i = 0; i < config_.event_lanes; ++i)
-            shared_lanes_.push_back(simulator_.register_lane());
-    }
     // Intern the hot pipeline counters once: per-block updates are then
     // a vector indexing, never a string-keyed map lookup.
     h_btlb_hits_ = metrics_.counter("btlb_hits");
@@ -91,7 +82,6 @@ Controller::Controller(sim::Simulator &simulator,
     FunctionContext &pf = contexts_[pcie::kPhysicalFunctionId];
     pf.active = true;
     pf.device_size_blocks = device_.geometry().num_blocks();
-    assign_function_lane(pf, pcie::kPhysicalFunctionId);
     create_qp0(pf);
     // Every attributed DMA the device issues is policed by the
     // PF-programmed window table; a violation quarantines the fn.
@@ -181,11 +171,11 @@ Controller::attach_integrity(storage::IntegrityMap *map)
 }
 
 storage::MediaOp
-Controller::media_op(const BlockOp &op, extent::Plba plba) const
+Controller::media_op(extent::Plba plba) const
 {
     const bool checked = integrity_ != nullptr && integrity_enabled_ &&
                          integrity_->covers(plba);
-    return {contexts_[op.fn].lane, checked ? integrity_ : nullptr};
+    return {checked ? integrity_ : nullptr};
 }
 
 void
@@ -426,8 +416,8 @@ Controller::doorbell_write(pcie::FunctionId fn, std::uint32_t qid)
     }
     tracer_.instant(obs::Stage::kDoorbell, fn, simulator_.now());
     q->fetch_in_progress = true;
-    simulator_.schedule_in_lane(
-        c.lane, config_.doorbell_latency,
+    simulator_.schedule_in(
+        config_.doorbell_latency,
         [this, fn, qid]() { fetch_commands(fn, qid); });
     return util::Status::ok();
 }
@@ -1063,7 +1053,6 @@ Controller::mgmt_execute(MgmtCommand command)
         c.active = true;
         c.extent_tree_root = mgmt_extent_root_;
         c.device_size_blocks = mgmt_device_size_;
-        assign_function_lane(c, fn);
         active_vfs_.insert(std::lower_bound(active_vfs_.begin(),
                                             active_vfs_.end(), fn),
                            fn);
@@ -1082,7 +1071,6 @@ Controller::mgmt_execute(MgmtCommand command)
         // with no completion.
         if (!function_quiescent(fn))
             return err;
-        retire_function_lane(c); // already-scheduled events drain
         std::erase(active_vfs_, fn);
         for (const QpRef &qref : c.qps)
             qp_arena_.release(qref); // pair 0 and any extras
@@ -1432,8 +1420,8 @@ Controller::fetch_commands(pcie::FunctionId fn, std::uint32_t qid)
             // Batch spent: continue the drain in a fresh event. A
             // doorbell landing meanwhile merges into the continuation.
             q->fetch_in_progress = true;
-            simulator_.schedule_in_lane(
-                c.lane, config_.doorbell_latency,
+            simulator_.schedule_in(
+                config_.doorbell_latency,
                 [this, fn, qid]() { fetch_commands(fn, qid); });
             break;
         }
@@ -1547,8 +1535,8 @@ Controller::fetch_commands(pcie::FunctionId fn, std::uint32_t qid)
     if (q->doorbell_rearm && !q->fetch_in_progress) {
         q->doorbell_rearm = false;
         q->fetch_in_progress = true;
-        simulator_.schedule_in_lane(
-            c.lane, config_.doorbell_latency,
+        simulator_.schedule_in(
+            config_.doorbell_latency,
             [this, fn, qid]() { fetch_commands(fn, qid); });
     }
     update_arb_eligibility(fn);
@@ -1801,12 +1789,11 @@ Controller::schedule_rate_pump(sim::Time at)
     rate_pump_scheduled_ = true;
     rate_pump_at_ = at;
     const sim::Time fire = std::max(at, simulator_.now());
-    simulator_.schedule_at_lane(sim::Simulator::kDefaultLane, fire,
-                                [this, at]() {
-                                    if (rate_pump_at_ == at)
-                                        rate_pump_scheduled_ = false;
-                                    pump();
-                                });
+    simulator_.schedule_at(fire, [this, at]() {
+        if (rate_pump_at_ == at)
+            rate_pump_scheduled_ = false;
+        pump();
+    });
 }
 
 void
@@ -1927,9 +1914,8 @@ Controller::start_walks()
         vlba_queue_.pop_front();
         ++active_walks_;
         // The BTLB probe and pipeline bookkeeping take a fixed cost.
-        simulator_.schedule_in_lane(ctx(op.fn).lane,
-                                    config_.translation_cost,
-                                    [this, op]() { begin_translation(op); });
+        simulator_.schedule_in(config_.translation_cost,
+                               [this, op]() { begin_translation(op); });
     }
 }
 
@@ -2011,7 +1997,6 @@ Controller::walk_node(WalkRef ref)
     // what the node cache removes entirely on a hit.
     Walk *walk = walk_arena_.get(ref);
     ++walk->levels;
-    const sim::LaneId lane = ctx(walk->op.fn).lane;
     if (node_cache_.enabled()) {
         if (const ExtentNodeCache::Node *cached =
                 node_cache_.lookup(walk->op.fn, walk->node)) {
@@ -2020,8 +2005,8 @@ Controller::walk_node(WalkRef ref)
                 walk_resolved_fault(ref, FaultKind::kTreeCorrupt);
                 return;
             }
-            simulator_.schedule_in_lane(
-                lane, config_.node_parse_cost,
+            simulator_.schedule_in(
+                config_.node_parse_cost,
                 [this, ref, header = cached->header,
                  data = cached->entries]() {
                     if (walk_canceled(ref))
@@ -2034,8 +2019,8 @@ Controller::walk_node(WalkRef ref)
     }
     metrics_.add(h_walk_node_reads_);
     dma_.read(walk->op.fn, walk->node, sizeof(NodeHeaderRecord),
-              [this, ref, lane](util::Status status,
-                                std::vector<std::byte> data) {
+              [this, ref](util::Status status,
+                          std::vector<std::byte> data) {
                   const bool whole = data.size() >= sizeof(NodeHeaderRecord);
                   NodeHeaderRecord header{};
                   if (whole)
@@ -2065,11 +2050,10 @@ Controller::walk_node(WalkRef ref)
                       walk_resolved_fault(ref, FaultKind::kTreeCorrupt);
                       return;
                   }
-                  simulator_.schedule_in_lane(
-                      lane, config_.node_parse_cost,
-                      [this, ref, header]() {
-                          walk_entries(ref, header);
-                      });
+                  simulator_.schedule_in(config_.node_parse_cost,
+                                         [this, ref, header]() {
+                                             walk_entries(ref, header);
+                                         });
               });
 }
 
@@ -2184,9 +2168,8 @@ Controller::walk_process(WalkRef ref, NodeKindTag kind,
                 return;
             }
             walk->node = rec.child;
-            simulator_.schedule_in_lane(ctx(walk->op.fn).lane,
-                                        config_.node_parse_cost,
-                                        [this, ref]() { walk_node(ref); });
+            simulator_.schedule_in(config_.node_parse_cost,
+                                   [this, ref]() { walk_node(ref); });
             return;
         }
         if (rec.first_vblock > vlba)
@@ -2472,7 +2455,7 @@ Controller::start_transfer(const BlockOp &op, extent::Plba plba)
     const sim::Time t_start = simulator_.now();
     if (op.op == Opcode::kRead) {
         // Media read, verify, then DMA the payload to the host buffer.
-        const storage::MediaOp io = media_op(op, plba);
+        const storage::MediaOp io = media_op(plba);
         media_->read(
             plba, dma_.acquire_buffer(kDeviceBlockSize), io,
             [this, op, plba, t_start, verifying = io.sidecar != nullptr](
@@ -2513,7 +2496,7 @@ Controller::start_transfer(const BlockOp &op, extent::Plba plba)
                       return;
                   }
                   media_->write(
-                      plba, data, media_op(op, plba),
+                      plba, data, media_op(plba),
                       [this, op, t_start](util::Status wstatus) {
                           if (media_spans_) {
                               tracer_.span(obs::Stage::kReplWrite, op.fn,
@@ -2723,9 +2706,8 @@ Controller::enqueue_completion(pcie::FunctionId fn, std::uint16_t qid,
     if (!completion_batch_) {
         // Paper behavior: one CQ write plus one MSI per completion,
         // each in its own event after the completion-engine latency.
-        simulator_.schedule_in_lane(
-            c.lane, config_.completion_cost,
-            [this, fn, qid, tag, status]() {
+        simulator_.schedule_in(
+            config_.completion_cost, [this, fn, qid, tag, status]() {
                 post_completion(fn, qid, tag, status);
             });
         return;
@@ -2739,8 +2721,8 @@ Controller::enqueue_completion(pcie::FunctionId fn, std::uint16_t qid,
     q->comp_batch.push_back(QueuedCompletion{tag, status});
     if (!q->comp_flush_scheduled) {
         q->comp_flush_scheduled = true;
-        simulator_.schedule_in_lane(
-            c.lane, config_.completion_cost,
+        simulator_.schedule_in(
+            config_.completion_cost,
             [this, fn, qid]() { flush_completions(fn, qid); });
     }
 }
@@ -2852,14 +2834,13 @@ Controller::raise_completion_irq(pcie::FunctionId fn, std::uint16_t qid)
     if (q == nullptr || q->irq_pending)
         return;
     q->irq_pending = true;
-    simulator_.schedule_in_lane(
-        c.lane, config_.irq_coalesce, [this, fn, qid, vector]() {
-            FunctionContext &fc = ctx(fn);
-            if (Qp *fq = qp(fc, qid); fq != nullptr)
-                fq->irq_pending = false;
-            if (fc.active)
-                irq_.raise(vector);
-        });
+    simulator_.schedule_in(config_.irq_coalesce, [this, fn, qid, vector]() {
+        FunctionContext &fc = ctx(fn);
+        if (Qp *fq = qp(fc, qid); fq != nullptr)
+            fq->irq_pending = false;
+        if (fc.active)
+            irq_.raise(vector);
+    });
     metrics_.bump("irqs_coalesced");
 }
 
@@ -2884,8 +2865,7 @@ Controller::arm_watchdog(pcie::FunctionId fn)
                                                  : earliest + c.watchdog_ns;
     const sim::Time expiry = std::max(deadline, simulator_.now());
     c.watchdog_armed = true;
-    simulator_.schedule_at_lane(c.lane, expiry,
-                                [this, fn]() { watchdog_fire(fn); });
+    simulator_.schedule_at(expiry, [this, fn]() { watchdog_fire(fn); });
 }
 
 void
@@ -3001,27 +2981,6 @@ Controller::disable_tracing()
     tracer_.disable();
     dma_.set_tracer(nullptr);
     dma_.link().set_observer(nullptr);
-}
-
-void
-Controller::assign_function_lane(FunctionContext &c, pcie::FunctionId fn)
-{
-    if (!shared_lanes_.empty()) {
-        c.lane = shared_lanes_[fn % shared_lanes_.size()];
-        return;
-    }
-    // Lane-per-function mode (the default): each function's command
-    // lifecycle events sort within a private heap; order across
-    // functions is settled by the top-level selector on (when, seq).
-    c.lane = simulator_.register_lane();
-}
-
-void
-Controller::retire_function_lane(FunctionContext &c)
-{
-    if (shared_lanes_.empty() && c.lane != sim::Simulator::kDefaultLane)
-        simulator_.release_lane(c.lane);
-    c.lane = sim::Simulator::kDefaultLane;
 }
 
 bool

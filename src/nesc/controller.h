@@ -134,14 +134,6 @@ struct ControllerConfig {
      */
     std::uint32_t max_command_blocks = 65536; // 64 MiB per command
     /**
-     * Simulator event-lane layout: 0 (default) gives every active
-     * function its own lane; N > 0 spreads functions over N shared
-     * lanes (fn modulo N). Purely a wall-clock/scaling knob — the
-     * simulator's global-sequence tie-break makes execution order
-     * independent of lane layout (see sim/simulator.h).
-     */
-    std::uint32_t event_lanes = 0;
-    /**
      * Descriptors fetched per fetch event (reg::kFetchBatch); the
      * fetch engine reschedules itself to continue longer drains.
      * 0 = drain the whole ring in one event (paper behaviour).
@@ -463,13 +455,6 @@ class Controller : public pcie::FunctionMmioDevice {
          * result derived from the stale tree.
          */
         std::uint64_t tree_generation = 0;
-        /**
-         * The function's simulator event lane. Default-lane until the
-         * function activates; FnReset keeps the lane, DeleteVf
-         * releases it (per-function mode) or leaves the shared lane
-         * alone (event_lanes > 0).
-         */
-        sim::LaneId lane = sim::Simulator::kDefaultLane;
         util::RingQueue<BlockOp> stalled_ops; ///< parked on a fault
         /** tag -> live command in cmd_arena_ (per-tag ops: abort). */
         util::FlatMap<CmdRef> pending;
@@ -579,10 +564,10 @@ class Controller : public pcie::FunctionMmioDevice {
     /** Retires a transfer: completes the block and restarts the pipe. */
     void finish_transfer(const BlockOp &op, CompletionStatus status);
     /**
-     * Media context for @p op: its event lane, plus the sidecar when
-     * payload checksums are verified/recorded for @p plba.
+     * Media context for a block: the sidecar when payload checksums are
+     * verified/recorded for @p plba.
      */
-    storage::MediaOp media_op(const BlockOp &op, extent::Plba plba) const;
+    storage::MediaOp media_op(extent::Plba plba) const;
     /** Books a detected mismatch against @p fn (stats, trace, metrics). */
     void note_checksum_mismatch(pcie::FunctionId fn, const BlockOp &op);
 
@@ -690,10 +675,6 @@ class Controller : public pcie::FunctionMmioDevice {
     /** True when the fn is fully idle (nothing queued or in flight). */
     bool function_quiescent(pcie::FunctionId fn) const;
 
-    // Event-lane lifecycle (see ControllerConfig::event_lanes).
-    void assign_function_lane(FunctionContext &c, pcie::FunctionId fn);
-    void retire_function_lane(FunctionContext &c);
-
     FunctionContext &ctx(pcie::FunctionId fn) { return contexts_[fn]; }
 
     sim::Simulator &simulator_;
@@ -760,8 +741,6 @@ class Controller : public pcie::FunctionMmioDevice {
     sim::Arena<Qp> qp_arena_;
     /** Primary walks in flight, for MSHR attachment. */
     std::vector<WalkRef> inflight_walks_;
-    /** Shared event lanes when event_lanes > 0 (else empty). */
-    std::vector<sim::LaneId> shared_lanes_;
     /** Sorted ids of active VFs (DeleteVf audit + test introspection). */
     std::vector<pcie::FunctionId> active_vfs_;
     /** Grantable functions; turn-over scans this, never active_vfs_. */

@@ -1,18 +1,17 @@
 /**
  * @file
- * Indirect event-lane heap.
+ * The simulator's pending-event heap.
  *
- * One LaneHeap holds the pending events of a single event lane as
- * 24-byte keys — timestamp, global sequence number, and a slot index
- * pointing at the callback stored elsewhere. Keeping the callback out
+ * EventHeap holds every pending event as a 24-byte key — timestamp,
+ * scheduling sequence number, and a slot index pointing at the
+ * callback stored in the Simulator's pool. Keeping the callback out
  * of the heap is what makes the simulator hot path cheap: a sift
- * moves three words instead of relocating a 96-byte sim::Callback at
+ * moves three words instead of relocating a 208-byte sim::Callback at
  * every level (the seed profile showed ~7 relocations per event).
  *
- * Ordering is (when, seq): seq is assigned globally by the Simulator
- * in scheduling order, so popping lane minima through the top-level
- * selector reproduces exactly the single-heap execution order — the
- * determinism contract the golden-figure tests enforce.
+ * Ordering is (when, seq): seq is unique and increases in scheduling
+ * order, so equal-time events pop FIFO — the determinism contract the
+ * golden-figure tests enforce.
  */
 #ifndef NESC_SIM_EVENT_HEAP_H
 #define NESC_SIM_EVENT_HEAP_H
@@ -28,7 +27,7 @@ namespace nesc::sim {
 /** Heap key of one scheduled event; the callback lives in a slot. */
 struct EventKey {
     Time when;
-    std::uint64_t seq;  ///< global scheduling order, unique
+    std::uint64_t seq;  ///< scheduling order, unique
     std::uint32_t slot; ///< callback slot in the Simulator's pool
 
     /** Execution order: earliest time first, FIFO within a time. */
@@ -42,7 +41,7 @@ struct EventKey {
 };
 
 /** Binary min-heap of EventKeys on (when, seq). */
-class LaneHeap {
+class EventHeap {
   public:
     bool empty() const { return keys_.empty(); }
     std::size_t size() const { return keys_.size(); }
@@ -51,8 +50,8 @@ class LaneHeap {
     /** The earliest pending key. Undefined when empty. */
     const EventKey &top() const { return keys_.front(); }
 
-    /** Inserts @p key; returns true when it became the new top. */
-    bool
+    /** Inserts @p key. */
+    void
     push(const EventKey &key)
     {
         std::size_t i = keys_.size();
@@ -65,7 +64,6 @@ class LaneHeap {
             i = parent;
         }
         keys_[i] = key;
-        return i == 0;
     }
 
     /** Removes and returns the earliest key. Undefined when empty. */

@@ -1,52 +1,24 @@
 #include "simulator.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace nesc::sim {
 
-Simulator::Simulator()
-{
-    lanes_.push_back(Lane{{}, /*live=*/true, /*retired=*/false});
-    // The internal timer lane (kTimerLane) exists from birth but is
-    // excluded from live_lanes_: it cannot be registered or released,
-    // so lane_count() keeps meaning "default + registered lanes".
-    lanes_.push_back(Lane{{}, /*live=*/true, /*retired=*/false});
-    live_lanes_ = 1;
-    reserve(kDefaultReserve);
-}
-
 void
 Simulator::reserve(std::size_t events)
 {
-    lanes_[kDefaultLane].heap.reserve(events);
-    selector_.reserve(lanes_.size() + 16);
+    heap_.reserve(events);
     if (slots_.capacity() < events)
         slots_.reserve(events);
 }
 
 void
-Simulator::push_selector(Time when, std::uint64_t seq, LaneId lane)
-{
-    selector_.push_back(SelectorEntry{when, seq, lane});
-    std::push_heap(selector_.begin(), selector_.end(), LaterEntry{});
-}
-
-void
-Simulator::schedule_event(LaneId lane_id, Time when, Callback fn,
-                          bool weak)
+Simulator::schedule_event(Time when, Callback fn, bool weak)
 {
     assert(fn && "null event callback");
-    assert(lane_id < lanes_.size() && lanes_[lane_id].live &&
-           "scheduling on an unregistered lane");
     if (when < now_)
         when = now_; // clamp: components may schedule "immediately"
-    // Park long-dated events away from busy lanes (see file comment in
-    // the header); order is global (when, seq), so this cannot change
-    // simulated results, only the heap traffic.
-    if (when - now_ > kTimerHorizon)
-        lane_id = kTimerLane;
 
     std::uint32_t slot;
     if (free_slots_.empty()) {
@@ -60,104 +32,22 @@ Simulator::schedule_event(LaneId lane_id, Time when, Callback fn,
         slot_weak_[slot] = weak ? 1 : 0;
     }
 
-    const EventKey key{when, next_seq_++, slot};
-    if (lanes_[lane_id].heap.push(key))
-        push_selector(key.when, key.seq, lane_id);
-    ++pending_;
+    heap_.push(EventKey{when, next_seq_++, slot});
     if (weak)
         ++weak_pending_;
-}
-
-LaneId
-Simulator::register_lane()
-{
-    LaneId id;
-    if (!free_lanes_.empty()) {
-        id = free_lanes_.back();
-        free_lanes_.pop_back();
-    } else {
-        id = static_cast<LaneId>(lanes_.size());
-        lanes_.emplace_back();
-    }
-    Lane &lane = lanes_[id];
-    assert(lane.heap.empty());
-    lane.live = true;
-    lane.retired = false;
-    ++live_lanes_;
-    return id;
-}
-
-void
-Simulator::release_lane(LaneId lane_id)
-{
-    assert(lane_id != kDefaultLane && "the default lane is permanent");
-    assert(lane_id != kTimerLane && "the timer lane is internal");
-    assert(lane_id < lanes_.size() && lanes_[lane_id].live);
-    Lane &lane = lanes_[lane_id];
-    if (lane.retired)
-        return;
-    if (lane.heap.empty()) {
-        recycle_lane(lane_id);
-        return;
-    }
-    lane.retired = true; // drains in order; recycled once empty
-}
-
-void
-Simulator::recycle_lane(LaneId lane_id)
-{
-    Lane &lane = lanes_[lane_id];
-    lane.live = false;
-    lane.retired = false;
-    --live_lanes_;
-    free_lanes_.push_back(lane_id);
-}
-
-bool
-Simulator::peek(Time &when)
-{
-    // Discard selector entries that no longer describe their lane's
-    // top. Sequence numbers are globally unique and never reused, so a
-    // stale entry can never falsely match a later event.
-    while (!selector_.empty()) {
-        const SelectorEntry &top = selector_.front();
-        const Lane &lane = lanes_[top.lane];
-        if (!lane.heap.empty() && lane.heap.top().seq == top.seq) {
-            when = top.when;
-            return true;
-        }
-        std::pop_heap(selector_.begin(), selector_.end(), LaterEntry{});
-        selector_.pop_back();
-    }
-    return false;
 }
 
 bool
 Simulator::step()
 {
-    Time when;
-    if (!peek(when))
+    if (heap_.empty())
         return false;
-
-    const SelectorEntry top = selector_.front();
-    std::pop_heap(selector_.begin(), selector_.end(), LaterEntry{});
-    selector_.pop_back();
-
-    Lane &lane = lanes_[top.lane];
-    const EventKey key = lane.heap.pop();
-    assert(key.seq == top.seq);
-    if (!lane.heap.empty()) {
-        const EventKey &next = lane.heap.top();
-        push_selector(next.when, next.seq, top.lane);
-    } else if (lane.retired) {
-        recycle_lane(top.lane);
-    }
+    const EventKey key = heap_.pop();
 
     assert(key.when >= now_);
     now_ = key.when;
     ++events_executed_;
     ++g_total_events_;
-    --pending_;
     if (slot_weak_[key.slot] != 0)
         --weak_pending_;
 
@@ -174,15 +64,14 @@ Simulator::run_until_idle()
     // Strong events drain in global order — weak timers that fall
     // before a pending strong event still fire — but the loop stops
     // once only weak (maintenance) events remain, leaving them armed.
-    while (pending_ > weak_pending_)
+    while (!idle())
         step();
 }
 
 void
 Simulator::run_until(Time deadline)
 {
-    Time when;
-    while (peek(when) && when <= deadline)
+    while (!heap_.empty() && heap_.top().when <= deadline)
         step();
     if (deadline > now_)
         now_ = deadline;

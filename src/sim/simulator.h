@@ -7,13 +7,9 @@
  * Simulator. Events at equal timestamps execute in scheduling order, so
  * runs are fully deterministic.
  *
- * The pending set is sharded into event lanes (the controller gives
- * each function its own lane; lane 0 is the shared default for DMA,
- * media, and driver events). Each lane is a small binary heap of
- * 24-byte keys; a top-level selector heap tracks the per-lane minima
- * and picks the next event with a lazy stale-entry discard. Callbacks
- * live in a recycled slot pool, so heap sifts move keys, never the
- * 96-byte sim::Callback.
+ * The pending set is one binary heap of 24-byte (when, seq, slot)
+ * keys (sim::EventHeap). Callbacks live in a recycled slot pool, so
+ * heap sifts move keys, never the 208-byte sim::Callback.
  *
  * Events come in two strengths. Ordinary (strong) events represent
  * work in flight and keep the simulation alive: run_until_idle()
@@ -26,25 +22,11 @@
  * work (or a deadline to reach) and goes quiescent with it, exactly
  * like an unreferenced timer in an event loop.
  *
- * Long-dated events (delay > kTimerHorizon — periodic telemetry
- * windows, scrub intervals, watchdogs) are transparently parked on an
- * internal timer lane. A far-future event on a busy lane is poison:
- * it keeps the lane's heap non-empty, so every pop re-publishes the
- * far event as the lane minimum and the next near-event push
- * immediately staleifies that selector entry — doubling selector
- * traffic for every event on the lane (measured ~20% on an I/O-bound
- * run from one pending timer). Parked on its own lane, the timer
- * contributes one selector entry that stays valid until it fires.
- * Diversion never reorders anything: execution order is globally
- * (when, seq) regardless of lane (see the determinism contract).
- *
- * Determinism contract: the sequence number is GLOBAL and assigned at
- * schedule time, and both lane heaps and the selector order strictly
- * by (when, seq). Execution order is therefore identical to a single
- * FIFO-tie-break heap regardless of how events are assigned to lanes
- * or how many lanes exist — lane layout can never change simulated
- * results, only wall-clock speed. tests/test_sim.cc pins this with a
- * multi-seed lane-count invariance stress test.
+ * Determinism contract: the sequence number is assigned at schedule
+ * time and the heap orders strictly by (when, seq), so events at equal
+ * timestamps run in scheduling order and runs are fully reproducible.
+ * tests/test_sim.cc pins this against a sorted reference model and
+ * with a multi-seed whole-controller replay.
  */
 #ifndef NESC_SIM_SIMULATOR_H
 #define NESC_SIM_SIMULATOR_H
@@ -59,49 +41,29 @@
 
 namespace nesc::sim {
 
-/** Identifies one event lane of a Simulator. */
-using LaneId = std::uint32_t;
-
 /** Event-driven virtual-time simulator. */
 class Simulator {
   public:
     using Callback = sim::Callback;
 
-    /** Lane used by schedule_at/schedule_in; always present. */
-    static constexpr LaneId kDefaultLane = 0;
-
-    /**
-     * Events scheduled more than this many nanoseconds ahead are
-     * parked on an internal timer lane (see file comment). 100 µs sits
-     * well above per-block device latencies and well below the
-     * millisecond-scale periodic timers the parking exists for.
-     */
-    static constexpr Duration kTimerHorizon = 100'000;
-
     /** Pre-sized event capacity (events, not bytes). */
     static constexpr std::size_t kDefaultReserve = 4096;
 
-    Simulator();
+    Simulator() { reserve(kDefaultReserve); }
 
     /** Current simulated time. */
     Time now() const { return now_; }
 
-    /** Schedules @p fn at absolute time @p when (>= now) on lane 0. */
+    /** Schedules @p fn at absolute time @p when (>= now). */
     void schedule_at(Time when, Callback fn)
     {
-        schedule_at_lane(kDefaultLane, when, std::move(fn));
+        schedule_event(when, std::move(fn), /*weak=*/false);
     }
 
-    /** Schedules @p fn @p delay nanoseconds from now on lane 0. */
+    /** Schedules @p fn @p delay nanoseconds from now. */
     void schedule_in(Duration delay, Callback fn)
     {
-        schedule_at_lane(kDefaultLane, now_ + delay, std::move(fn));
-    }
-
-    /** Schedules @p fn at absolute time @p when (>= now) on @p lane. */
-    void schedule_at_lane(LaneId lane, Time when, Callback fn)
-    {
-        schedule_event(lane, when, std::move(fn), /*weak=*/false);
+        schedule_event(now_ + delay, std::move(fn), /*weak=*/false);
     }
 
     /**
@@ -114,41 +76,20 @@ class Simulator {
      */
     void schedule_weak_in(Duration delay, Callback fn)
     {
-        schedule_event(kDefaultLane, now_ + delay, std::move(fn),
-                       /*weak=*/true);
-    }
-
-    /** Schedules @p fn @p delay nanoseconds from now on @p lane. */
-    void schedule_in_lane(LaneId lane, Duration delay, Callback fn)
-    {
-        schedule_at_lane(lane, now_ + delay, std::move(fn));
+        schedule_event(now_ + delay, std::move(fn), /*weak=*/true);
     }
 
     /**
-     * Opens a new event lane and returns its id (recycling drained
-     * released lanes first). Lane assignment never affects execution
-     * order — see the determinism contract above.
+     * Always 1: there is one event queue. Kept only because the
+     * benchmark's per-layer `sim.lanes` metric reads it.
      */
-    LaneId register_lane();
+    std::size_t lane_count() const { return 1; }
 
-    /**
-     * Marks @p lane for release. Events already scheduled on it still
-     * drain in order; the lane id is recycled once empty. The default
-     * lane cannot be released.
-     */
-    void release_lane(LaneId lane);
-
-    /**
-     * Lanes currently open (default lane included; the internal timer
-     * lane is bookkeeping, not a registerable lane, and is excluded).
-     */
-    std::size_t lane_count() const { return live_lanes_; }
-
-    /** Grows default-lane and callback-pool capacity to @p events. */
+    /** Grows heap and callback-pool capacity to @p events. */
     void reserve(std::size_t events);
 
-    /** True when no strong events are pending on any lane. */
-    bool idle() const { return pending_ == weak_pending_; }
+    /** True when no strong events are pending. */
+    bool idle() const { return heap_.size() == weak_pending_; }
 
     /** Weak (maintenance-timer) events currently pending. */
     std::size_t weak_pending() const { return weak_pending_; }
@@ -192,48 +133,14 @@ class Simulator {
     }
 
   private:
-    /** Internal parking lane for long-dated events; never recycled. */
-    static constexpr LaneId kTimerLane = 1;
-
-    struct Lane {
-        LaneHeap heap;
-        bool live = false;    ///< registered (or still draining)
-        bool retired = false; ///< released; recycle once drained
-    };
-
-    /** Selector record of one lane's minimum; stale when outdated. */
-    struct SelectorEntry {
-        Time when;
-        std::uint64_t seq;
-        LaneId lane;
-    };
-    struct LaterEntry {
-        bool
-        operator()(const SelectorEntry &a, const SelectorEntry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
-    /** Next event time across lanes; false when idle. */
-    bool peek(Time &when);
-    void push_selector(Time when, std::uint64_t seq, LaneId lane);
-    void recycle_lane(LaneId lane);
-    void schedule_event(LaneId lane, Time when, Callback fn, bool weak);
+    void schedule_event(Time when, Callback fn, bool weak);
 
     Time now_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t events_executed_ = 0;
-    std::size_t pending_ = 0;
     std::size_t weak_pending_ = 0;
-    std::size_t live_lanes_ = 0;
 
-    std::vector<Lane> lanes_;
-    std::vector<LaneId> free_lanes_;
-    /** Min-heap on (when, seq) maintained with std::push/pop_heap. */
-    std::vector<SelectorEntry> selector_;
+    EventHeap heap_;
     /** Callback pool; EventKey::slot indexes into it. */
     std::vector<Callback> slots_;
     /** Per-slot weak flag, parallel to slots_. */

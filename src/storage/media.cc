@@ -19,10 +19,9 @@ LocalMedia::read(std::uint64_t first_block, Buffer buf, const MediaOp &op,
         device_.service_read(simulator_.now(), first_block * block_bytes_,
                              buf.size()) +
         (op.sidecar != nullptr ? checksum_cost_ : 0);
-    simulator_.schedule_at_lane(
-        op.lane, t_done,
-        [this, first_block, buf = std::move(buf),
-         done = std::move(done)]() mutable {
+    simulator_.schedule_at(
+        t_done, [this, first_block, buf = std::move(buf),
+                 done = std::move(done)]() mutable {
             util::Status status =
                 device_.read(first_block * block_bytes_, buf);
             const int backend = status.is_ok() ? 0 : -1;
@@ -55,8 +54,8 @@ LocalMedia::write(std::uint64_t first_block, std::span<const std::byte> data,
         device_.service_write(simulator_.now(), first_block * block_bytes_,
                               data.size()) +
         (op.sidecar != nullptr ? checksum_cost_ : 0);
-    simulator_.schedule_at_lane(
-        op.lane, t_done,
+    simulator_.schedule_at(
+        t_done,
         [status = std::move(status), done = std::move(done)]() mutable {
             done(std::move(status));
         });

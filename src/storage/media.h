@@ -36,8 +36,6 @@ class IntegrityMap;
 
 /** Per-op context the data-transfer unit hands the media. */
 struct MediaOp {
-    /** Event lane the completion runs on (implementations may ignore). */
-    sim::LaneId lane = sim::Simulator::kDefaultLane;
     /**
      * The checksum sidecar covering the block, or nullptr when the op
      * is unchecked. A write records the payload's checksum through it
@@ -108,7 +106,7 @@ class Media {
 /**
  * The local device as a one-backend Media. Reads and writes charge the
  * device's service time, plus @p checksum_cost when the op is checked,
- * and complete on the op's lane; read_from() answers inline and
+ * and complete as simulator events; read_from() answers inline and
  * untimed, like a re-read the checksum engine issues back to back.
  */
 class LocalMedia final : public Media {

@@ -1,10 +1,10 @@
 /**
  * @file
  * Unit tests for the discrete-event simulator and BandwidthServer:
- * event ordering, the sharded per-lane event heaps, the generational
- * arena, and a whole-controller determinism stress that pins the
- * lane-layout-invariance contract (execution order depends only on
- * (when, seq), never on how events are distributed across lanes).
+ * event ordering on the single (when, seq) event heap, checked against
+ * a sorted reference model, the generational arena, and a
+ * whole-controller determinism stress (same seed, same timeline and
+ * trace spans, event for event).
  */
 #include <gtest/gtest.h>
 
@@ -48,6 +48,17 @@ TEST(Simulator, ExecutesInTimestampOrder)
     sim.run_until_idle();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(sim.now(), 30u);
+
+    // Two interleaved runs of timestamps merge into one time order.
+    Simulator merged;
+    std::vector<Time> fired;
+    for (Time t : {30u, 10u, 50u})
+        merged.schedule_at(t, [&, t]() { fired.push_back(t); });
+    for (Time t : {40u, 20u, 60u})
+        merged.schedule_at(t, [&, t]() { fired.push_back(t); });
+    merged.run_until_idle();
+    EXPECT_EQ(fired, (std::vector<Time>{10, 20, 30, 40, 50, 60}));
+    EXPECT_EQ(merged.now(), 60u);
 }
 
 TEST(Simulator, FifoAmongEqualTimestamps)
@@ -58,6 +69,26 @@ TEST(Simulator, FifoAmongEqualTimestamps)
         sim.schedule_at(100, [&order, i]() { order.push_back(i); });
     sim.run_until_idle();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+
+    // An earlier event scheduled last still runs first; the ties
+    // behind it keep schedule order.
+    Simulator tie;
+    std::vector<int> tie_order;
+    for (int i = 0; i < 4; ++i)
+        tie.schedule_at(100, [&tie_order, i]() { tie_order.push_back(i); });
+    tie.schedule_at(50, [&]() { tie_order.push_back(-1); });
+    tie.run_until_idle();
+    EXPECT_EQ(tie_order, (std::vector<int>{-1, 0, 1, 2, 3}));
+
+    // 64 events at one timestamp stay FIFO.
+    Simulator many;
+    std::vector<int> many_order;
+    for (int i = 0; i < 64; ++i)
+        many.schedule_at(7, [&many_order, i]() { many_order.push_back(i); });
+    many.run_until_idle();
+    ASSERT_EQ(many_order.size(), 64u);
+    for (int i = 0; i < 64; ++i)
+        EXPECT_EQ(many_order[static_cast<std::size_t>(i)], i);
 }
 
 TEST(Simulator, ScheduleInIsRelative)
@@ -264,84 +295,162 @@ TEST(Simulator, ReserveAndEventAccounting)
     EXPECT_GE(Simulator::total_events_executed() - before, 100u);
 }
 
-// --- Event lanes --------------------------------------------------------
+// --- Heap against a sorted reference ------------------------------------
 
-TEST(SimulatorLanes, TieBreakAcrossLanesFollowsGlobalScheduleOrder)
-{
-    // Events at the same timestamp on DIFFERENT lanes must execute in
-    // schedule order, exactly as if a single FIFO heap held them all.
-    Simulator sim;
-    const LaneId a = sim.register_lane();
-    const LaneId b = sim.register_lane();
-    std::vector<int> order;
-    sim.schedule_at_lane(b, 100, [&]() { order.push_back(0); });
-    sim.schedule_at_lane(a, 100, [&]() { order.push_back(1); });
-    sim.schedule_at(100, [&]() { order.push_back(2); }); // default lane
-    sim.schedule_at_lane(b, 100, [&]() { order.push_back(3); });
-    sim.schedule_at_lane(a, 50, [&]() { order.push_back(-1); });
-    sim.run_until_idle();
-    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3}));
-}
+/**
+ * Random schedule recorder for the heap model test: every event goes
+ * through schedule_one(), so its index is also the Simulator's seq.
+ */
+struct ScheduleModel {
+    struct Record {
+        Time when;
+        Duration ahead; ///< when - now at schedule time
+        bool weak;
+    };
 
-TEST(SimulatorLanes, InterleavedTimestampsMergeAcrossLanes)
-{
-    Simulator sim;
-    const LaneId a = sim.register_lane();
-    const LaneId b = sim.register_lane();
-    std::vector<Time> fired;
-    for (Time t : {30u, 10u, 50u})
-        sim.schedule_at_lane(a, t, [&, t]() { fired.push_back(t); });
-    for (Time t : {40u, 20u, 60u})
-        sim.schedule_at_lane(b, t, [&, t]() { fired.push_back(t); });
-    sim.run_until_idle();
-    EXPECT_EQ(fired, (std::vector<Time>{10, 20, 30, 40, 50, 60}));
-    EXPECT_EQ(sim.now(), 60u);
-}
+    static constexpr std::size_t kEvents = 20'000;
 
-TEST(SimulatorLanes, ReleasedLaneDrainsThenRecycles)
-{
     Simulator sim;
-    const LaneId lane = sim.register_lane();
-    EXPECT_EQ(sim.lane_count(), 2u); // default + lane
-    int fired = 0;
-    sim.schedule_at_lane(lane, 10, [&]() { ++fired; });
-    sim.schedule_at_lane(lane, 20, [&]() { ++fired; });
-    sim.release_lane(lane); // events already scheduled still drain
-    sim.run_until_idle();
-    EXPECT_EQ(fired, 2);
-    // The drained lane id is recycled by the next registration.
-    const LaneId next = sim.register_lane();
-    EXPECT_EQ(next, lane);
-    EXPECT_EQ(sim.lane_count(), 2u);
-}
+    std::mt19937_64 rng{0x5eed};
+    std::vector<Record> scheduled;
+    std::vector<std::size_t> fired;
+    std::size_t strong_pending = 0;
+    std::size_t weak_pending = 0;
+    std::size_t clock_errors = 0;
 
-TEST(SimulatorLanes, EmptyLaneReleasesImmediately)
-{
-    Simulator sim;
-    const LaneId lane = sim.register_lane();
-    sim.release_lane(lane);
-    EXPECT_EQ(sim.lane_count(), 1u);
-    EXPECT_EQ(sim.register_lane(), lane);
-}
+    /**
+     * Near delays sit on a coarse 10 ns grid so many events share a
+     * timestamp; about 10% are far (> 200 us, on a 100 us grid, so far
+     * events tie with each other too).
+     */
+    Duration delay()
+    {
+        if (rng() % 10 == 0)
+            return 200'001 + (rng() % 20) * 100'000;
+        return (rng() % 16) * 10;
+    }
 
-TEST(SimulatorLanes, ManyLanesStayFifoAtOneTimestamp)
+    void schedule_one()
+    {
+        if (scheduled.size() >= kEvents)
+            return;
+        const std::size_t id = scheduled.size();
+        const Time now = sim.now();
+        const Duration d = delay();
+        const auto kind = rng() % 3; // schedule_at, _in, _weak_in
+        // One schedule_at in eight targets the past and clamps to now.
+        const Time at = kind == 0 && rng() % 8 == 0
+                            ? now - std::min<Time>(now, 5)
+                            : now + d;
+        const Record rec{std::max(at, now), std::max(at, now) - now,
+                         kind == 2};
+        scheduled.push_back(rec);
+        ++(rec.weak ? weak_pending : strong_pending);
+        auto fn = [this, id]() { fire(id); };
+        if (kind == 0)
+            sim.schedule_at(at, std::move(fn));
+        else if (kind == 1)
+            sim.schedule_in(d, std::move(fn));
+        else
+            sim.schedule_weak_in(d, std::move(fn));
+    }
+
+    void fire(std::size_t id)
+    {
+        const Record rec = scheduled[id]; // schedule_one() may grow it
+        if (sim.now() != rec.when)
+            ++clock_errors;
+        --(rec.weak ? weak_pending : strong_pending);
+        fired.push_back(id);
+        if (rng() % 4 == 0)
+            schedule_one(); // callbacks schedule further events
+    }
+
+    /** Timestamps of the events the model still holds, sorted. */
+    std::vector<Time> pending_whens() const
+    {
+        std::vector<bool> done(scheduled.size(), false);
+        for (std::size_t id : fired)
+            done[id] = true;
+        std::vector<Time> whens;
+        for (std::size_t id = 0; id < scheduled.size(); ++id)
+            if (!done[id])
+                whens.push_back(scheduled[id].when);
+        std::sort(whens.begin(), whens.end());
+        return whens;
+    }
+};
+
+TEST(Simulator, RandomScheduleMatchesSortedReference)
 {
-    // The DeleteVf/FnReset churn pattern: register, use, release, and
-    // through it all equal-timestamp FIFO must hold globally.
-    Simulator sim;
-    std::vector<LaneId> lanes;
-    for (int i = 0; i < 8; ++i)
-        lanes.push_back(sim.register_lane());
-    std::vector<int> order;
-    for (int i = 0; i < 64; ++i)
-        sim.schedule_at_lane(lanes[static_cast<std::size_t>(i) % 8], 7,
-                             [&order, i]() { order.push_back(i); });
-    sim.run_until_idle();
-    for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-    for (LaneId lane : lanes)
-        sim.release_lane(lane);
-    EXPECT_EQ(sim.lane_count(), 1u);
+    ScheduleModel m;
+    for (int i = 0; i < 2000; ++i)
+        m.schedule_one();
+    int armed_after_idle = 0;
+    for (int round = 0; m.scheduled.size() < ScheduleModel::kEvents ||
+                        !m.sim.idle();
+         ++round) {
+        if (round % 2 == 0) {
+            // Every other deadline lands exactly on a pending event,
+            // which must fire.
+            const std::vector<Time> before = m.pending_whens();
+            const Time deadline =
+                round % 4 == 0 && !before.empty()
+                    ? before[m.rng() % before.size()]
+                    : m.sim.now() + m.rng() % 300'000;
+            m.sim.run_until(deadline);
+            EXPECT_EQ(m.sim.now(), deadline);
+            const std::vector<Time> after = m.pending_whens();
+            if (!after.empty()) {
+                EXPECT_GT(after.front(), deadline) << "round " << round;
+            }
+        } else {
+            m.sim.run_until_idle();
+            EXPECT_EQ(m.strong_pending, 0u) << "round " << round;
+            armed_after_idle += m.weak_pending > 0 ? 1 : 0;
+        }
+        EXPECT_EQ(m.sim.idle(), m.strong_pending == 0) << "round " << round;
+        EXPECT_EQ(m.sim.weak_pending(), m.weak_pending)
+            << "round " << round;
+        for (int i = 0; i < 500; ++i)
+            m.schedule_one();
+    }
+    // Only weak events remain; a deadline past all of them fires them.
+    Time last = 0;
+    for (const auto &rec : m.scheduled)
+        last = std::max(last, rec.when);
+    m.sim.run_until(last);
+    EXPECT_TRUE(m.sim.idle());
+    EXPECT_EQ(m.sim.weak_pending(), 0u);
+    EXPECT_EQ(m.weak_pending, 0u);
+    EXPECT_FALSE(m.sim.step());
+
+    // The schedule has the intended shape.
+    ASSERT_EQ(m.scheduled.size(), ScheduleModel::kEvents);
+    const auto far =
+        std::count_if(m.scheduled.begin(), m.scheduled.end(),
+                      [](const auto &r) { return r.ahead > 200'000; });
+    EXPECT_GT(far, 1500);
+    EXPECT_LT(far, 2500);
+    std::vector<Time> whens;
+    for (const auto &rec : m.scheduled)
+        whens.push_back(rec.when);
+    std::sort(whens.begin(), whens.end());
+    EXPECT_LT(std::unique(whens.begin(), whens.end()) - whens.begin(),
+              static_cast<std::ptrdiff_t>(ScheduleModel::kEvents / 4));
+    EXPECT_GT(armed_after_idle, 0); // idle with weak timers pending
+
+    // Execution order is exactly the (when, seq) sort of the schedule.
+    std::vector<std::size_t> reference(m.scheduled.size());
+    for (std::size_t id = 0; id < reference.size(); ++id)
+        reference[id] = id;
+    std::sort(reference.begin(), reference.end(),
+              [&](std::size_t a, std::size_t b) {
+                  return std::tie(m.scheduled[a].when, a) <
+                         std::tie(m.scheduled[b].when, b);
+              });
+    EXPECT_EQ(m.fired, reference);
+    EXPECT_EQ(m.clock_errors, 0u);
 }
 
 // --- Generational arena -------------------------------------------------
@@ -477,7 +586,7 @@ same_spans(const std::vector<obs::SpanEvent> &a,
  * completion timeline and every controller trace span.
  */
 RunResult
-run_workload(std::uint64_t seed, std::uint32_t event_lanes)
+run_workload(std::uint64_t seed)
 {
     pcie::HostMemory host_memory(64 << 20);
     storage::MemBlockDeviceConfig dev_cfg;
@@ -487,7 +596,6 @@ run_workload(std::uint64_t seed, std::uint32_t event_lanes)
     pcie::InterruptController irq(sim);
     ctrl::ControllerConfig cfg;
     cfg.max_vfs = 4;
-    cfg.event_lanes = event_lanes;
     ctrl::Controller controller(sim, host_memory, device, irq, cfg);
     pcie::BarPageRouter bar(controller, 4096,
                             controller.num_functions());
@@ -569,21 +677,14 @@ run_workload(std::uint64_t seed, std::uint32_t event_lanes)
     return result;
 }
 
-TEST(SimDeterminism, MixedWorkloadIsSeedStableAcrossLaneLayouts)
+TEST(SimDeterminism, MixedWorkloadIsSeedStable)
 {
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-        // Same seed, same (default, lane-per-function) layout: runs
-        // must match event for event.
-        RunResult a = run_workload(seed, 0);
-        RunResult b = run_workload(seed, 0);
+        // Same seed: runs must match event for event.
+        RunResult a = run_workload(seed);
+        RunResult b = run_workload(seed);
         EXPECT_EQ(a.timeline, b.timeline) << "seed " << seed;
         EXPECT_TRUE(same_spans(a.spans, b.spans)) << "seed " << seed;
-        // Different lane layout (3 shared lanes, functions folded
-        // fn % 3): the determinism contract says lane assignment can
-        // never change simulated results.
-        RunResult c = run_workload(seed, 3);
-        EXPECT_EQ(a.timeline, c.timeline) << "seed " << seed;
-        EXPECT_TRUE(same_spans(a.spans, c.spans)) << "seed " << seed;
     }
 }
 

@@ -5,7 +5,7 @@
  * FlightRecorder (rings, postmortems), TimeSeriesSampler, the
  * Prometheus exposition, the PF-only observability register block and
  * its PfDriver helpers, plus the pinned LogHistogram percentile edge
- * cases and the simulator's timer-lane ordering invariance.
+ * cases and the simulator's ordering of far-future and weak timers.
  */
 #include <gtest/gtest.h>
 
@@ -483,46 +483,43 @@ TEST(Prometheus, HandleKeysRoundTrip)
               "");
 }
 
-// --- Simulator timer-lane invariance ----------------------------------
+// --- Simulator timer ordering ------------------------------------------
 
-TEST(TimerLane, FarEventsExecuteInGlobalTimeOrder)
+TEST(SimulatorTimers, FarEventsExecuteInGlobalTimeOrder)
 {
-    // Far-future events are parked on an internal lane; execution
-    // order must remain globally (when, seq) regardless.
+    // Millisecond-scale timers and near events share one queue;
+    // execution order is globally (when, seq).
     sim::Simulator s;
-    const auto lane = s.register_lane();
     std::vector<int> order;
-    s.schedule_in(2 * sim::Simulator::kTimerHorizon,
-                  [&]() { order.push_back(1); }); // parked
-    s.schedule_at_lane(lane, sim::Simulator::kTimerHorizon / 2,
-                       [&]() { order.push_back(0); });
-    s.schedule_in(3 * sim::Simulator::kTimerHorizon, [&]() {
+    s.schedule_in(200'000, [&]() { order.push_back(1); }); // far
+    s.schedule_at(50'000, [&]() { order.push_back(0); });
+    s.schedule_in(300'000, [&]() {
         order.push_back(2);
-        // Rescheduling from inside a parked event keeps working.
+        // Rescheduling from inside a far event keeps working.
         s.schedule_in(10, [&]() { order.push_back(3); });
     });
     s.run_until_idle();
     ASSERT_EQ(order.size(), 4u);
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(s.now(), 3 * sim::Simulator::kTimerHorizon + 10);
+    EXPECT_EQ(s.now(), 300'010u);
 }
 
-TEST(TimerLane, TieOnWhenResolvesBySequence)
+TEST(SimulatorTimers, TieOnWhenResolvesBySequence)
 {
     sim::Simulator s;
     std::vector<int> order;
-    const sim::Time when = 4 * sim::Simulator::kTimerHorizon;
-    // One parked, one scheduled near the deadline from a near event:
-    // both fire at the same instant; schedule order must win.
-    s.schedule_at(when, [&]() { order.push_back(0); }); // parked
+    const sim::Time when = 400'000;
+    // One scheduled far ahead, one scheduled near the deadline from a
+    // near event: both fire at the same instant; schedule order wins.
+    s.schedule_at(when, [&]() { order.push_back(0); }); // far
     s.schedule_at(when - 5, [&]() {
-        s.schedule_in(5, [&]() { order.push_back(1); }); // not parked
+        s.schedule_in(5, [&]() { order.push_back(1); }); // near
     });
     s.run_until_idle();
     EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
-TEST(TimerLane, WeakEventsDoNotKeepTheSimulationAlive)
+TEST(SimulatorTimers, WeakEventsDoNotKeepTheSimulationAlive)
 {
     // A self-rescheduling weak timer (the telemetry-plane idiom) ticks
     // in global order while strong work remains, fires during
@@ -545,19 +542,6 @@ TEST(TimerLane, WeakEventsDoNotKeepTheSimulationAlive)
     s.run_until(s.now() + 1000); // deadline-driven runs still tick
     EXPECT_EQ(ticks, 12);
     EXPECT_TRUE(s.idle());
-}
-
-TEST(TimerLane, LaneCountExcludesTheInternalLane)
-{
-    sim::Simulator s;
-    EXPECT_EQ(s.lane_count(), 1u); // default lane only
-    const auto lane = s.register_lane();
-    EXPECT_EQ(s.lane_count(), 2u);
-    s.schedule_in(10 * sim::Simulator::kTimerHorizon, []() {});
-    EXPECT_EQ(s.lane_count(), 2u); // parking is not a registered lane
-    s.run_until_idle();
-    s.release_lane(lane);
-    EXPECT_EQ(s.lane_count(), 1u);
 }
 
 // --- Observability registers (controller + PfDriver) ------------------
