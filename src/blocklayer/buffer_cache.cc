@@ -16,12 +16,28 @@ BufferCache::touch(LruList::iterator it)
     lru_.splice(lru_.begin(), lru_, it);
 }
 
+void
+BufferCache::mark_dirty(LruList::iterator it)
+{
+    it->dirty_slot = dirty_.size();
+    dirty_.push_back(it);
+}
+
+void
+BufferCache::mark_clean(Entry &entry)
+{
+    const LruList::iterator last = dirty_.back();
+    last->dirty_slot = entry.dirty_slot;
+    dirty_[entry.dirty_slot] = last;
+    dirty_.pop_back();
+    entry.dirty_slot = kClean;
+}
+
 util::Status
 BufferCache::writeback_entry(Entry &entry)
 {
     NESC_RETURN_IF_ERROR(base_.write_blocks(entry.blockno, 1, entry.data));
-    entry.dirty = false;
-    --dirty_count_;
+    mark_clean(entry);
     ++writebacks_;
     return util::Status::ok();
 }
@@ -32,7 +48,7 @@ BufferCache::evict_one()
     if (lru_.empty())
         return util::internal_error("evicting from an empty cache");
     auto victim = std::prev(lru_.end());
-    if (victim->dirty)
+    if (victim->dirty_slot != kClean)
         NESC_RETURN_IF_ERROR(writeback_entry(*victim));
     map_.erase(victim->blockno);
     lru_.erase(victim);
@@ -46,11 +62,11 @@ BufferCache::insert(std::uint64_t blockno, std::span<const std::byte> data,
 {
     while (map_.size() >= config_.capacity_blocks)
         NESC_RETURN_IF_ERROR(evict_one());
-    lru_.push_front(Entry{blockno, dirty,
+    lru_.push_front(Entry{blockno, kClean,
                           std::vector<std::byte>(data.begin(), data.end())});
     map_[blockno] = lru_.begin();
     if (dirty)
-        ++dirty_count_;
+        mark_dirty(lru_.begin());
     return lru_.begin();
 }
 
@@ -112,10 +128,8 @@ BufferCache::write_blocks(std::uint64_t blockno, std::uint32_t count,
             ++hits_;
             touch(it->second);
             std::copy(src.begin(), src.end(), it->second->data.begin());
-            if (!it->second->dirty && !config_.write_through) {
-                it->second->dirty = true;
-                ++dirty_count_;
-            }
+            if (it->second->dirty_slot == kClean && !config_.write_through)
+                mark_dirty(it->second);
         } else {
             simulator_.advance(config_.miss_cost);
             ++misses_;
@@ -131,32 +145,34 @@ BufferCache::write_blocks(std::uint64_t blockno, std::uint32_t count,
 util::Status
 BufferCache::flush()
 {
-    // Collect dirty blocks sorted so adjacent runs merge into single
-    // downstream writes.
-    std::vector<LruList::iterator> dirty;
-    for (auto it = lru_.begin(); it != lru_.end(); ++it)
-        if (it->dirty)
-            dirty.push_back(it);
-    std::sort(dirty.begin(), dirty.end(),
+    // Sorted by block so adjacent runs merge into single downstream
+    // writes; a copy, because a run leaves dirty_ once written.
+    flush_order_.assign(dirty_.begin(), dirty_.end());
+    std::sort(flush_order_.begin(), flush_order_.end(),
               [](auto a, auto b) { return a->blockno < b->blockno; });
 
     const std::uint32_t bs = block_size();
     std::size_t i = 0;
-    while (i < dirty.size()) {
+    while (i < flush_order_.size()) {
+        const std::uint64_t first = flush_order_[i]->blockno;
         std::size_t run = 1;
-        while (i + run < dirty.size() &&
-               dirty[i + run]->blockno == dirty[i]->blockno + run)
+        while (i + run < flush_order_.size() &&
+               flush_order_[i + run]->blockno == first + run)
             ++run;
-        std::vector<std::byte> buf(run * bs);
+        if (run_buf_.size() < run * bs)
+            run_buf_.resize(run * bs);
         for (std::size_t j = 0; j < run; ++j) {
-            std::copy(dirty[i + j]->data.begin(), dirty[i + j]->data.end(),
-                      buf.begin() + j * bs);
-            dirty[i + j]->dirty = false;
-            --dirty_count_;
+            std::copy(flush_order_[i + j]->data.begin(),
+                      flush_order_[i + j]->data.end(),
+                      run_buf_.begin() + j * bs);
+        }
+        NESC_RETURN_IF_ERROR(
+            base_.write_blocks(first, static_cast<std::uint32_t>(run),
+                               std::span(run_buf_).first(run * bs)));
+        for (std::size_t j = 0; j < run; ++j) {
+            mark_clean(*flush_order_[i + j]);
             ++writebacks_;
         }
-        NESC_RETURN_IF_ERROR(base_.write_blocks(
-            dirty[i]->blockno, static_cast<std::uint32_t>(run), buf));
         i += run;
     }
     return base_.flush();
@@ -165,7 +181,7 @@ BufferCache::flush()
 util::Status
 BufferCache::invalidate()
 {
-    if (dirty_count_ != 0) {
+    if (!dirty_.empty()) {
         return util::failed_precondition_error(
             "invalidate with dirty blocks cached; flush first");
     }

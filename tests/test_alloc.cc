@@ -1,10 +1,12 @@
 /**
  * @file
- * Heap-allocation regression tests for the replicated write fan-out.
+ * Heap-allocation regression tests for the replicated write fan-out
+ * and the buffer cache's flush.
  *
  * The per-backend dirty log, the journal commit and the checksum
- * sidecar's write-through run several times per guest write, so each
- * must reuse its storage instead of allocating. This binary replaces
+ * sidecar's write-through run several times per guest write, and a
+ * guest's buffer cache flushes on every fsync, so each must reuse its
+ * storage instead of allocating. This binary replaces
  * the global operator new to count allocations, which is why it is an
  * executable of its own: no other test runs under the replacement.
  */
@@ -16,6 +18,8 @@
 #include <new>
 #include <vector>
 
+#include "blocklayer/buffer_cache.h"
+#include "blocklayer/device_block_io.h"
 #include "repl/blockstore.h"
 #include "repl/dirty_log.h"
 #include "repl/replica_set.h"
@@ -30,7 +34,11 @@ std::uint64_t g_allocations = 0;
 
 } // namespace
 
-void *
+// All three stay out of line, so every caller sees operator new paired
+// with operator delete. If the optimizer inlines only one side, GCC
+// sees malloc() meet operator delete, or free() meet operator new, and
+// reports the pair as mismatched.
+[[gnu::noinline]] void *
 operator new(std::size_t size)
 {
     ++g_allocations;
@@ -39,13 +47,13 @@ operator new(std::size_t size)
     throw std::bad_alloc();
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
@@ -122,6 +130,38 @@ TEST(Allocations, SidecarWriteThroughReusesItsStaging)
     for (int i = 0; i < kOps; ++i)
         ASSERT_TRUE((*map)->record(i % 512, data).is_ok());
     EXPECT_EQ(count(), 0u);
+}
+
+TEST(Allocations, BufferCacheWriteHitAndFlushReuseStaging)
+{
+    sim::Simulator simulator;
+    storage::MemBlockDevice dev(fast_media(4 << 20));
+    blk::DeviceBlockIo io(simulator, dev);
+    blk::BufferCacheConfig config;
+    config.capacity_blocks = 256;
+    blk::BufferCache cache(simulator, io, config);
+    // Warm: every block cached, and one flush of all of them sized the
+    // dirty index and the flush staging for any later flush.
+    std::vector<std::byte> all(256 * kBlock);
+    wl::fill_pattern(4, 0, all);
+    ASSERT_TRUE(cache.write_blocks(0, 256, all).is_ok());
+    ASSERT_TRUE(cache.flush().is_ok());
+
+    constexpr std::uint32_t kRun = 8;
+    const std::span<const std::byte> data(all.data(), kRun * kBlock);
+    AllocationCount count;
+    for (int i = 0; i < kOps; ++i) {
+        const auto block = static_cast<std::uint64_t>(i * 37) % (256 - kRun);
+        ASSERT_TRUE(cache.write_blocks(block, kRun, data).is_ok());
+        ASSERT_TRUE(cache.write_blocks(255 - block, 1, data.first(kBlock))
+                        .is_ok());
+        if (i % 4 == 3) {
+            ASSERT_TRUE(cache.flush().is_ok());
+        }
+    }
+    EXPECT_EQ(count(), 0u);
+    EXPECT_EQ(cache.misses(), 256u);
+    EXPECT_EQ(cache.evictions(), 0u);
 }
 
 /**

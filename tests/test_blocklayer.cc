@@ -5,12 +5,17 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <ostream>
+
 #include "blocklayer/buffer_cache.h"
 #include "blocklayer/costed_block_io.h"
 #include "blocklayer/device_block_io.h"
 #include "blocklayer/io_scheduler.h"
 #include "blocklayer/os_block_stack.h"
 #include "storage/mem_block_device.h"
+#include "util/rng.h"
 
 namespace nesc::blk {
 namespace {
@@ -187,6 +192,292 @@ TEST_F(BufferCacheTest, ReadAfterWriteSeesCachedData)
     std::vector<std::byte> back(1024);
     ASSERT_TRUE(cache_->read_blocks(2, 1, back).is_ok());
     EXPECT_EQ(back, data);
+}
+
+/** One downstream write as a BlockIo below a cache saw it. */
+struct RecordedWrite {
+    std::uint64_t blockno;
+    std::uint32_t count;
+    std::vector<std::byte> bytes;
+
+    bool operator==(const RecordedWrite &) const = default;
+
+    friend void PrintTo(const RecordedWrite &w, std::ostream *os)
+    {
+        std::uint64_t fnv = 0xcbf29ce484222325ULL;
+        for (std::byte b : w.bytes)
+            fnv = (fnv ^ static_cast<std::uint8_t>(b)) * 0x100000001b3ULL;
+        *os << "write(" << w.blockno << ", " << w.count << ", "
+            << w.bytes.size() << " bytes, fnv1a " << std::hex << fnv
+            << std::dec << ")";
+    }
+};
+
+/** In-memory BlockIo that records every write and can fail some. */
+class RecordingBlockIo : public BlockIo {
+  public:
+    RecordingBlockIo(std::uint32_t block_size, std::uint64_t blocks)
+        : block_size_(block_size), blocks_(blocks),
+          store_(static_cast<std::size_t>(block_size) * blocks)
+    {
+    }
+
+    std::uint32_t block_size() const override { return block_size_; }
+    std::uint64_t num_blocks() const override { return blocks_; }
+
+    util::Status read_blocks(std::uint64_t blockno, std::uint32_t count,
+                             std::span<std::byte> out) override
+    {
+        std::copy_n(store_.begin() + blockno * block_size_,
+                    static_cast<std::size_t>(count) * block_size_,
+                    out.begin());
+        return util::Status::ok();
+    }
+
+    util::Status write_blocks(std::uint64_t blockno, std::uint32_t count,
+                              std::span<const std::byte> in) override
+    {
+        if (failing_writes > 0) {
+            --failing_writes;
+            return util::unavailable_error("injected write failure");
+        }
+        writes.push_back({blockno, count, {in.begin(), in.end()}});
+        std::copy(in.begin(), in.end(), store_.begin() + blockno * block_size_);
+        return util::Status::ok();
+    }
+
+    util::Status flush() override { return util::Status::ok(); }
+
+    /** Successful writes, in order. */
+    std::vector<RecordedWrite> writes;
+    /** The next this-many writes fail and leave the store unchanged. */
+    int failing_writes = 0;
+
+  private:
+    std::uint32_t block_size_;
+    std::uint64_t blocks_;
+    std::vector<std::byte> store_;
+};
+
+TEST(BufferCacheFailures, FailedFlushWriteKeepsTheRunDirty)
+{
+    sim::Simulator sim;
+    RecordingBlockIo base(1024, 64);
+    BufferCacheConfig config;
+    config.capacity_blocks = 8;
+    BufferCache cache(sim, base, config);
+    const auto run = blocks_of(2, 0x5a);
+    const auto lone = blocks_of(1, 0xa5);
+    ASSERT_TRUE(cache.write_blocks(2, 2, run).is_ok());
+    ASSERT_TRUE(cache.write_blocks(7, 1, lone).is_ok());
+
+    base.failing_writes = 1;
+    EXPECT_FALSE(cache.flush().is_ok());
+    // The run 2-3 was never written, so it is still dirty, and so is
+    // block 7, which the failed flush did not reach.
+    EXPECT_EQ(cache.dirty_blocks(), 3u);
+    EXPECT_EQ(cache.writebacks(), 0u);
+    EXPECT_TRUE(base.writes.empty());
+
+    ASSERT_TRUE(cache.flush().is_ok());
+    EXPECT_EQ(cache.dirty_blocks(), 0u);
+    EXPECT_EQ(cache.writebacks(), 3u);
+    const std::vector<RecordedWrite> expected = {{2, 2, run}, {7, 1, lone}};
+    EXPECT_EQ(base.writes, expected);
+}
+
+/**
+ * Reference for BufferCache: the same LRU write-back policy over a
+ * std::map, with a flush that scans every cached block.
+ */
+class CacheModel {
+  public:
+    CacheModel(std::uint32_t block_size, std::uint64_t blocks,
+               std::uint64_t capacity)
+        : bs_(block_size), capacity_(capacity),
+          device_(static_cast<std::size_t>(block_size) * blocks)
+    {
+    }
+
+    void read(std::uint64_t blockno, std::uint32_t count,
+              std::span<std::byte> out)
+    {
+        std::uint32_t i = 0;
+        while (i < count) {
+            auto hit = cache_.find(blockno + i);
+            if (hit != cache_.end()) {
+                ++hits;
+                hit->second.stamp = ++clock_;
+                std::copy(hit->second.data.begin(), hit->second.data.end(),
+                          out.begin() + i * bs_);
+                ++i;
+                continue;
+            }
+            std::uint32_t run = 1;
+            while (i + run < count && !cache_.contains(blockno + i + run))
+                ++run;
+            misses += run;
+            std::copy_n(device_.begin() + (blockno + i) * bs_, run * bs_,
+                        out.begin() + i * bs_);
+            for (std::uint32_t j = 0; j < run; ++j) {
+                auto src = out.subspan((i + j) * bs_, bs_);
+                insert(blockno + i + j, src, /*dirty=*/false);
+            }
+            i += run;
+        }
+    }
+
+    void write(std::uint64_t blockno, std::uint32_t count,
+               std::span<const std::byte> in)
+    {
+        for (std::uint32_t i = 0; i < count; ++i) {
+            auto src = in.subspan(i * bs_, bs_);
+            auto hit = cache_.find(blockno + i);
+            if (hit == cache_.end()) {
+                ++misses;
+                insert(blockno + i, src, /*dirty=*/true);
+                continue;
+            }
+            ++hits;
+            hit->second.stamp = ++clock_;
+            hit->second.dirty = true;
+            std::copy(src.begin(), src.end(), hit->second.data.begin());
+        }
+    }
+
+    void flush()
+    {
+        auto it = cache_.begin();
+        while (it != cache_.end()) {
+            if (!it->second.dirty) {
+                ++it;
+                continue;
+            }
+            std::vector<std::byte> bytes;
+            const std::uint64_t first = it->first;
+            std::uint32_t run = 0;
+            while (it != cache_.end() && it->first == first + run &&
+                   it->second.dirty) {
+                bytes.insert(bytes.end(), it->second.data.begin(),
+                             it->second.data.end());
+                it->second.dirty = false;
+                ++run;
+                ++it;
+            }
+            device_write(first, run, bytes);
+            writebacks += run;
+        }
+    }
+
+    void invalidate() { cache_.clear(); }
+
+    std::uint64_t dirty() const
+    {
+        return static_cast<std::uint64_t>(
+            std::count_if(cache_.begin(), cache_.end(),
+                          [](const auto &kv) { return kv.second.dirty; }));
+    }
+
+    std::vector<RecordedWrite> writes;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+    std::uint64_t writebacks = 0;
+
+  private:
+    struct Slot {
+        std::uint64_t stamp;
+        bool dirty;
+        std::vector<std::byte> data;
+    };
+
+    void insert(std::uint64_t blockno, std::span<const std::byte> data,
+                bool dirty)
+    {
+        while (cache_.size() >= capacity_) {
+            auto lru = std::min_element(
+                cache_.begin(), cache_.end(), [](const auto &a, const auto &b) {
+                    return a.second.stamp < b.second.stamp;
+                });
+            if (lru->second.dirty) {
+                device_write(lru->first, 1, lru->second.data);
+                ++writebacks;
+            }
+            cache_.erase(lru);
+            ++evictions;
+        }
+        cache_[blockno] = Slot{++clock_, dirty, {data.begin(), data.end()}};
+    }
+
+    void device_write(std::uint64_t blockno, std::uint32_t count,
+                      std::span<const std::byte> bytes)
+    {
+        writes.push_back({blockno, count, {bytes.begin(), bytes.end()}});
+        std::copy(bytes.begin(), bytes.end(), device_.begin() + blockno * bs_);
+    }
+
+    std::uint32_t bs_;
+    std::uint64_t capacity_;
+    std::vector<std::byte> device_;
+    std::map<std::uint64_t, Slot> cache_;
+    std::uint64_t clock_ = 0;
+};
+
+TEST(BufferCacheModel, RandomOpsMatchFullScanReference)
+{
+    constexpr std::uint32_t kBs = 64;
+    constexpr std::uint64_t kBlocks = 256;
+    constexpr std::uint64_t kCapacity = 64;
+    sim::Simulator sim;
+    RecordingBlockIo base(kBs, kBlocks);
+    BufferCacheConfig config;
+    config.capacity_blocks = kCapacity;
+    BufferCache cache(sim, base, config);
+    CacheModel model(kBs, kBlocks, kCapacity);
+    util::Rng rng(23);
+
+    std::vector<std::byte> got;
+    std::vector<std::byte> want;
+    std::size_t checked = 0; // downstream writes compared so far
+    for (int op = 0; op < 20'000; ++op) {
+        const auto count = static_cast<std::uint32_t>(1 + rng.next_below(8));
+        // Half the requests land in a hot range that mostly fits.
+        const std::uint64_t span = rng.next_below(2) == 0 ? 48 : kBlocks;
+        const std::uint64_t blockno = rng.next_below(span - count + 1);
+        const std::uint64_t kind = rng.next_below(100);
+        got.assign(static_cast<std::size_t>(count) * kBs, std::byte{0});
+        if (kind < 45) {
+            want.assign(got.size(), std::byte{0});
+            ASSERT_TRUE(cache.read_blocks(blockno, count, got).is_ok());
+            model.read(blockno, count, want);
+            ASSERT_EQ(got, want) << "read " << blockno << "+" << count
+                                 << " at op " << op;
+        } else if (kind < 90) {
+            for (std::byte &b : got)
+                b = static_cast<std::byte>(rng.next());
+            ASSERT_TRUE(cache.write_blocks(blockno, count, got).is_ok());
+            model.write(blockno, count, got);
+        } else if (kind < 98) {
+            ASSERT_TRUE(cache.flush().is_ok());
+            model.flush();
+        } else {
+            ASSERT_TRUE(cache.flush().is_ok());
+            model.flush();
+            ASSERT_TRUE(cache.invalidate().is_ok());
+            model.invalidate();
+        }
+        ASSERT_EQ(base.writes.size(), model.writes.size()) << "op " << op;
+        for (; checked < base.writes.size(); ++checked) {
+            ASSERT_EQ(base.writes[checked], model.writes[checked])
+                << "write " << checked << " at op " << op;
+        }
+        ASSERT_EQ(cache.dirty_blocks(), model.dirty()) << "op " << op;
+        ASSERT_EQ(cache.writebacks(), model.writebacks) << "op " << op;
+        ASSERT_EQ(cache.evictions(), model.evictions) << "op " << op;
+        ASSERT_EQ(cache.hits(), model.hits) << "op " << op;
+        ASSERT_EQ(cache.misses(), model.misses) << "op " << op;
+    }
+    EXPECT_GT(model.evictions, 1000u);
 }
 
 // --- IoScheduler -------------------------------------------------------------

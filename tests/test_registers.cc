@@ -18,12 +18,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "nesc/command.h"
@@ -186,32 +187,77 @@ struct DocRow {
     ctrl::reg::Access write;
 };
 
+/** Drops @p prefix from the front of @p text; false if it is not there. */
+bool
+consume(std::string_view &text, std::string_view prefix)
+{
+    if (!text.starts_with(prefix))
+        return false;
+    text.remove_prefix(prefix.size());
+    return true;
+}
+
+/** Drops and returns the longest prefix of @p text made of @p chars. */
+std::string_view
+consume_span(std::string_view &text, std::string_view chars)
+{
+    const std::string_view head = text.substr(0, text.find_first_not_of(chars));
+    text.remove_prefix(head.size());
+    return head;
+}
+
+/**
+ * Parses one datasheet line as a register row; false if it is not
+ * one. Accepts exactly `| 0x<lowercase hex> | `<word>` | RO|WO|RW` with
+ * an optional ` (PF-only write)`, then ` |`.
+ */
+bool
+parse_row(std::string_view line, bool pf_section, DocRow &row)
+{
+    using ctrl::reg::Access;
+    if (!consume(line, "| 0x"))
+        return false;
+    const std::string_view hex = consume_span(line, "0123456789abcdef");
+    if (hex.empty() || !consume(line, " | `"))
+        return false;
+    const std::string_view name =
+        consume_span(line, "0123456789_abcdefghijklmnopqrstuvwxyz"
+                           "ABCDEFGHIJKLMNOPQRSTUVWXYZ");
+    if (name.empty() || !consume(line, "` | "))
+        return false;
+    const std::string_view access = line.substr(0, 2);
+    if (access != "RO" && access != "WO" && access != "RW")
+        return false;
+    line.remove_prefix(2);
+    const bool pf_write = consume(line, " (PF-only write)");
+    if (!consume(line, " |"))
+        return false;
+    if (std::from_chars(hex.data(), hex.data() + hex.size(), row.offset, 16)
+            .ec != std::errc())
+        return false;
+    const Access who = pf_section ? Access::kPf : Access::kAny;
+    row.name = name;
+    row.read = access == "WO" ? Access::kNone : who;
+    row.write = access == "RO" ? Access::kNone
+                : pf_write     ? Access::kPf
+                               : who;
+    return true;
+}
+
 std::vector<DocRow>
 parse_datasheet(const std::string &text)
 {
-    using ctrl::reg::Access;
-    static const std::regex row(
-        R"(^\| (0x[0-9a-f]+) \| `(\w+)` \| (RO|WO|RW)( \(PF-only write\))? \|)");
     std::vector<DocRow> rows;
     bool pf_section = false;
     for (const std::string &line : lines(text)) {
         if (line.rfind("## ", 0) == 0)
             pf_section = line.rfind("## PF-only", 0) == 0;
-        std::smatch m;
-        if (!std::regex_search(line, m, row)) {
+        DocRow r;
+        if (!parse_row(line, pf_section, r)) {
             EXPECT_EQ(line.find("| 0x"), std::string::npos)
                 << "unparsed register row: " << line;
             continue;
         }
-        const Access who = pf_section ? Access::kPf : Access::kAny;
-        const std::string access = m[3];
-        DocRow r;
-        r.offset = std::stoull(m[1].str(), nullptr, 16);
-        r.name = m[2];
-        r.read = access == "WO" ? Access::kNone : who;
-        r.write = access == "RO" ? Access::kNone
-                  : m[4].matched ? Access::kPf
-                                 : who;
         rows.push_back(r);
     }
     return rows;
