@@ -1,17 +1,18 @@
 /**
  * @file
- * Ablation A18: host-side simulator throughput on the batched event
- * loop (8 directly-assigned VFs, QD16 random 4 KiB reads).
+ * Ablation A18: host-side simulator throughput on the event loop
+ * (8 directly-assigned VFs, QD16 random 4 KiB reads).
  *
  * Unlike the figure benches, the quantity under test here is not a
  * simulated latency or bandwidth but the simulator itself: events
  * executed per wall-clock second while eight guests keep sixteen
  * requests each in flight. Two phases cover the two hot paths the
- * event-heap/batching/arena rework targets:
+ * event-heap/arena rework targets:
  *
  *  - steady: plain volumes, scaled translation config — the BTLB
  *    absorbs translation, so the measured path is doorbell fetch,
- *    completion batching, and event scheduling on the key heap.
+ *    per-command completion posting, and event scheduling on the key
+ *    heap.
  *  - walk-heavy: fragmented volumes (64-block extents, fanout-16
  *    tree) under the paper-baseline translation unit — most blocks
  *    miss, so the measured path adds walk-state arenas, node-read
@@ -129,7 +130,7 @@ run_phase(virt::Testbed &bed,
     return result;
 }
 
-/** Plain volumes, scaled translation: batching/scheduling hot path. */
+/** Plain volumes, scaled translation: fetch/completion/scheduling path. */
 PhaseResult
 run_steady()
 {
@@ -199,8 +200,8 @@ main()
 {
     bench::print_header(
         "Ablation A18",
-        "simulator events/sec, 8 VFs at QD16 (batching hot path)",
-        "host-side metric: the event-heap/batching/arena rework must "
+        "simulator events/sec, 8 VFs at QD16 (event-loop hot path)",
+        "host-side metric: the event-heap/arena rework must "
         "raise simulator throughput with simulated results unchanged");
 
     const auto bench_start = std::chrono::steady_clock::now();
@@ -242,7 +243,7 @@ main()
 
     bench::emit_bench_json(
         "BENCH_PR6.json", 6,
-        "simulator hot path: batched fetch/completions, one event heap "
+        "simulator hot path: per-command fetch/completions, one event heap "
         "of 24-byte keys, command/walk arenas (8 VFs, QD16)",
         {
             {"events_per_sec", steady.events_per_sec, true},

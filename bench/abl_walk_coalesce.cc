@@ -59,8 +59,7 @@ run_miss_burst(bool coalesce, std::uint32_t outstanding)
 {
     virt::TestbedConfig config = bench::default_config();
     config.controller.btlb_entries = 0; // every block misses
-    config.controller.walk_coalescing = coalesce;
-    config.controller.coalesce_window_blocks = 256;
+    config.controller.walk_coalesce_window = coalesce ? 256 : 0;
     config.pf.tree.fanout = 4; // deep tree: several DMAs per walk
     auto bed = bench::must(virt::Testbed::create(config), "testbed");
 
@@ -136,7 +135,7 @@ run_multi_vf(bool fastpath)
         config.controller.btlb_sets = 64;
         config.controller.btlb_range_shift = 6;
         config.controller.node_cache_bytes = 256 << 10;
-        config.controller.walk_coalescing = true;
+        config.controller.walk_coalesce_window = 256;
     }
     auto bed = bench::must(virt::Testbed::create(config), "testbed");
 

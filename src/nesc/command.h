@@ -220,21 +220,6 @@ inline constexpr std::uint64_t kTelemetryCount = 0x148;
 inline constexpr std::uint64_t kTelemetryName0 = 0x150;
 inline constexpr std::uint64_t kTelemetryName1 = 0x158;
 inline constexpr std::uint64_t kTelemetryName2 = 0x160;
-// Event-batching knobs (PF-only). Reset values reproduce the paper
-// prototype's per-descriptor behaviour exactly.
-/**
- * Descriptors fetched per fetch event; the engine reschedules itself
- * to continue a longer ring drain. 0 (reset) = drain the whole ring
- * in one event, the paper-equivalent behaviour.
- */
-inline constexpr std::uint64_t kFetchBatch = 0x168;
-/**
- * Nonzero coalesces completion CQ writes of a function that fall in
- * one completion_cost window into a single flush event with one MSI.
- * 0 (reset) = one CQ write + MSI per completion.
- */
-inline constexpr std::uint64_t kCompletionBatch = 0x170;
-
 // Replication block (PF-only). Present only when a repl::ReplicaSet
 // is attached behind the controller; with no set attached every
 // register in the block reads all-ones (master-abort idiom) and

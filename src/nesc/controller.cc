@@ -28,6 +28,28 @@ constexpr std::uint32_t kMaxWalkDepth = 64;
 // No driver needs a deeper command ring; a bigger claimed capacity
 // means the guest-written header is garbage.
 constexpr std::uint32_t kMaxRingCapacity = 1u << 20;
+// Shared vLBA queue depth.
+constexpr std::uint32_t kVlbaQueueDepth = 16;
+// Shared pLBA queue depth.
+constexpr std::uint32_t kPlbaQueueDepth = 16;
+// Data transfers in flight at once.
+constexpr std::uint32_t kMaxInflightTransfers = 8;
+// Pipeline cost of a BTLB lookup + queue management, per block.
+constexpr sim::Duration kTranslationCost = 150;
+// Parse cost per tree level, on top of the node DMA.
+constexpr sim::Duration kNodeParseCost = 150;
+// Completion record construction cost.
+constexpr sim::Duration kCompletionCost = 250;
+// Doorbell-to-fetch scheduling delay.
+constexpr sim::Duration kDoorbellLatency = 200;
+// Reset value of reg::kQuarantineWindowNs: the window in which
+// quarantine_threshold validation faults quarantine a function.
+constexpr sim::Duration kQuarantineWindow = 1'000'000; // 1 ms
+// Largest nblocks a single CommandRecord may carry; bigger values are
+// rejected kMalformed before any per-block state is allocated (a
+// hostile nblocks of ~2^32 would otherwise expand into billions of
+// queued block ops).
+constexpr std::uint32_t kMaxCommandBlocks = 65536; // 64 MiB per command
 // Per-block CRC32C compute/compare cost charged on the media service
 // path while integrity is enabled (a 1 KiB block through a ~4 GB/s
 // checksum engine). Zero-cost when the feature is off, so the golden
@@ -51,13 +73,10 @@ Controller::Controller(sim::Simulator &simulator,
       btlb_(BtlbConfig{config.btlb_entries, config.btlb_sets,
                        config.btlb_range_shift}),
       node_cache_(config.node_cache_bytes),
-      walk_coalescing_(config.walk_coalescing),
-      coalesce_window_(config.coalesce_window_blocks),
+      walk_coalesce_window_(config.walk_coalesce_window),
       contexts_(static_cast<std::size_t>(config.max_vfs) + 1),
-      fetch_batch_(config.fetch_batch),
-      completion_batch_(config.completion_batch),
       quarantine_threshold_(config.quarantine_threshold),
-      quarantine_window_(config.quarantine_window),
+      quarantine_window_(kQuarantineWindow),
       link_observer_(tracer_)
 {
     // Intern the hot pipeline counters once: per-block updates are then
@@ -303,7 +322,7 @@ Controller::qp_admin_execute(pcie::FunctionId fn, QpCommand cmd)
     switch (cmd) {
       case QpCommand::kCreate: {
         // Pair 0 is owned by the legacy alias registers and exists for
-        // the function's whole active life; it is never re-created.
+        // the function's whole active life; only FLR re-creates it.
         if (qid == 0 || qid >= kMaxQueuePairs)
             return err;
         if (qp(c, qid) != nullptr)
@@ -373,16 +392,14 @@ Controller::destroy_qp(pcie::FunctionId fn, std::uint32_t qid)
 void
 Controller::reset_queue_pairs(FunctionContext &c)
 {
-    if (c.qps.empty())
-        return;
-    // FLR already tore down the function's in-flight state; here the
-    // extra pairs just stop existing and pair 0 returns to reset
-    // (rings detached, bases null, shadow invalid) for re-programming.
-    for (std::size_t qid = 1; qid < c.qps.size(); ++qid)
-        qp_arena_.release(c.qps[qid]); // idempotent on stale handles
-    c.qps.resize(1);
-    if (Qp *q = qp_arena_.get(c.qps[0]); q != nullptr)
-        q->reset(0);
+    // FLR already tore down the function's in-flight state; here every
+    // pair stops existing and pair 0 comes back at reset (rings
+    // detached, bases null, shadow invalid) for re-programming. Its new
+    // handle strands completion posts and MSI timers aimed at the old
+    // pair 0, so they drop instead of landing on the re-created rings.
+    for (const QpRef &qref : c.qps)
+        qp_arena_.release(qref); // idempotent on stale handles
+    create_qp0(c);
 }
 
 util::Status
@@ -416,9 +433,8 @@ Controller::doorbell_write(pcie::FunctionId fn, std::uint32_t qid)
     }
     tracer_.instant(obs::Stage::kDoorbell, fn, simulator_.now());
     q->fetch_in_progress = true;
-    simulator_.schedule_in(
-        config_.doorbell_latency,
-        [this, fn, qid]() { fetch_commands(fn, qid); });
+    simulator_.schedule_in(kDoorbellLatency,
+                           [this, fn, qid]() { fetch_commands(fn, qid); });
     return util::Status::ok();
 }
 
@@ -523,8 +539,7 @@ Controller::mmio_read(pcie::FunctionId fn, std::uint64_t offset,
       case reg::kNodeCacheBytes: return node_cache_.budget_bytes();
       case reg::kStatNodeCacheHits: return node_cache_.hits();
       case reg::kStatNodeCacheMisses: return node_cache_.misses();
-      case reg::kWalkCoalesce:
-        return walk_coalescing_ ? coalesce_window_ : 0;
+      case reg::kWalkCoalesce: return walk_coalesce_window_;
       case reg::kStatWalkCoalesced:
         return metrics_.counter_value(h_walk_coalesced_);
       case reg::kStatWalkReplays:
@@ -541,10 +556,6 @@ Controller::mmio_read(pcie::FunctionId fn, std::uint64_t offset,
       case reg::kQuarantineThreshold: return quarantine_threshold_;
       case reg::kQuarantineWindowNs:
         return static_cast<std::uint64_t>(quarantine_window_);
-      case reg::kFetchBatch:
-        return static_cast<std::uint64_t>(fetch_batch_);
-      case reg::kCompletionBatch:
-        return completion_batch_ ? std::uint64_t{1} : std::uint64_t{0};
       // Telemetry directory: invalid selections read all-ones, the
       // master-abort idiom, so a telemetry poller never faults.
       case reg::kTelemetrySelect:
@@ -891,8 +902,7 @@ Controller::mmio_write(pcie::FunctionId fn, std::uint64_t offset,
         node_cache_.set_budget(value);
         return util::Status::ok();
       case reg::kWalkCoalesce:
-        walk_coalescing_ = value != 0;
-        coalesce_window_ = static_cast<std::uint32_t>(value);
+        walk_coalesce_window_ = static_cast<std::uint32_t>(value);
         return util::Status::ok();
       case reg::kDmaWindowBase:
         dma_window_base_ = value;
@@ -905,12 +915,6 @@ Controller::mmio_write(pcie::FunctionId fn, std::uint64_t offset,
         return util::Status::ok();
       case reg::kQuarantineWindowNs:
         quarantine_window_ = static_cast<sim::Duration>(value);
-        return util::Status::ok();
-      case reg::kFetchBatch:
-        fetch_batch_ = static_cast<std::uint32_t>(value);
-        return util::Status::ok();
-      case reg::kCompletionBatch:
-        completion_batch_ = value != 0;
         return util::Status::ok();
       case reg::kTelemetrySelect:
         telemetry_select_ = static_cast<std::uint32_t>(value);
@@ -1408,23 +1412,10 @@ Controller::fetch_commands(pcie::FunctionId fn, std::uint32_t qid)
         return;
     }
 
-    // Drain the ring; descriptor DMA is booked per record. With
-    // kFetchBatch set the drain caps at that many descriptors and the
-    // engine reschedules itself, so one hostile or merely deep ring
-    // never monopolizes a fetch event.
-    const std::uint32_t batch = fetch_batch_;
+    // Drain the whole ring; descriptor DMA is booked per record.
     std::array<std::byte, sizeof(CommandRecord)> rec_buf;
     std::uint64_t fetched = 0;
     for (;;) {
-        if (batch != 0 && fetched >= batch) {
-            // Batch spent: continue the drain in a fresh event. A
-            // doorbell landing meanwhile merges into the continuation.
-            q->fetch_in_progress = true;
-            simulator_.schedule_in(
-                config_.doorbell_latency,
-                [this, fn, qid]() { fetch_commands(fn, qid); });
-            break;
-        }
         auto popped = q->sq->pop(rec_buf);
         if (!popped.is_ok()) {
             // The header went bad between records (torn mid-drain).
@@ -1532,12 +1523,11 @@ Controller::fetch_commands(pcie::FunctionId fn, std::uint32_t qid)
         return;
     }
     arm_watchdog(fn);
-    if (q->doorbell_rearm && !q->fetch_in_progress) {
+    if (q->doorbell_rearm) {
         q->doorbell_rearm = false;
         q->fetch_in_progress = true;
-        simulator_.schedule_in(
-            config_.doorbell_latency,
-            [this, fn, qid]() { fetch_commands(fn, qid); });
+        simulator_.schedule_in(kDoorbellLatency,
+                               [this, fn, qid]() { fetch_commands(fn, qid); });
     }
     update_arb_eligibility(fn);
     pump();
@@ -1582,7 +1572,7 @@ Controller::validate_command(const FunctionContext &c,
         return util::Status::ok(); // carries no range or buffer
     if (rec.nblocks == 0)
         return util::invalid_argument_error("zero-length command");
-    if (rec.nblocks > config_.max_command_blocks)
+    if (rec.nblocks > kMaxCommandBlocks)
         return util::invalid_argument_error("nblocks beyond device limit");
     if (rec.vlba + rec.nblocks < rec.vlba)
         return util::invalid_argument_error("vLBA range wraps");
@@ -1833,7 +1823,7 @@ Controller::arbitrate()
         // batch arrivals. The eligible bitmap replays the old sorted
         // active-list scan's cyclic id order exactly — identical
         // selection, O(words) per turn-over instead of O(active_vfs).
-        while (vlba_queue_.size() < config_.vlba_queue_depth) {
+        while (vlba_queue_.size() < kVlbaQueueDepth) {
             if (rr_credit_ == 0 || !arb_eligible_.test(rr_current_)) {
                 const int next = next_eligible(rr_current_);
                 if (next < 0)
@@ -1866,7 +1856,7 @@ Controller::arbitrate()
     // turn is left open (dwrr_turn_live_) and resumes on the next
     // arbitrate() call. The deficit dies with the backlog (classic
     // DRR), so an idle tenant cannot hoard service.
-    while (vlba_queue_.size() < config_.vlba_queue_depth) {
+    while (vlba_queue_.size() < kVlbaQueueDepth) {
         if (!dwrr_turn_live_ || !arb_eligible_.test(rr_current_)) {
             const int next = next_eligible(rr_current_);
             if (next < 0) {
@@ -1909,12 +1899,12 @@ void
 Controller::start_walks()
 {
     while (active_walks_ < config_.walk_overlap && !vlba_queue_.empty() &&
-           plba_queue_.size() < config_.plba_queue_depth) {
+           plba_queue_.size() < kPlbaQueueDepth) {
         BlockOp op = vlba_queue_.front();
         vlba_queue_.pop_front();
         ++active_walks_;
         // The BTLB probe and pipeline bookkeeping take a fixed cost.
-        simulator_.schedule_in(config_.translation_cost,
+        simulator_.schedule_in(kTranslationCost,
                                [this, op]() { begin_translation(op); });
     }
 }
@@ -1951,7 +1941,7 @@ Controller::begin_translation(BlockOp op)
         return;
     }
     metrics_.add(h_btlb_misses_);
-    if (walk_coalescing_ && !op.no_coalesce) {
+    if (walk_coalesce_window_ != 0 && !op.no_coalesce) {
         // MSHR attachment: a concurrent miss near an in-flight walk of
         // the same function rides that walk instead of spawning its
         // own — one set of node DMAs serves the whole burst.
@@ -1961,7 +1951,7 @@ Controller::begin_translation(BlockOp op)
                 continue;
             const extent::Vlba a = walk->op.vlba;
             const extent::Vlba b = op.vlba;
-            if ((a > b ? a - b : b - a) > coalesce_window_)
+            if ((a > b ? a - b : b - a) > walk_coalesce_window_)
                 continue;
             walk->secondaries.push_back(op);
             metrics_.add(h_walk_coalesced_);
@@ -2006,7 +1996,7 @@ Controller::walk_node(WalkRef ref)
                 return;
             }
             simulator_.schedule_in(
-                config_.node_parse_cost,
+                kNodeParseCost,
                 [this, ref, header = cached->header,
                  data = cached->entries]() {
                     if (walk_canceled(ref))
@@ -2050,7 +2040,7 @@ Controller::walk_node(WalkRef ref)
                       walk_resolved_fault(ref, FaultKind::kTreeCorrupt);
                       return;
                   }
-                  simulator_.schedule_in(config_.node_parse_cost,
+                  simulator_.schedule_in(kNodeParseCost,
                                          [this, ref, header]() {
                                              walk_entries(ref, header);
                                          });
@@ -2168,7 +2158,7 @@ Controller::walk_process(WalkRef ref, NodeKindTag kind,
                 return;
             }
             walk->node = rec.child;
-            simulator_.schedule_in(config_.node_parse_cost,
+            simulator_.schedule_in(kNodeParseCost,
                                    [this, ref]() { walk_node(ref); });
             return;
         }
@@ -2426,7 +2416,7 @@ Controller::fail_stalled(pcie::FunctionId fn)
 void
 Controller::start_transfers()
 {
-    while (inflight_transfers_ < config_.max_inflight_transfers &&
+    while (inflight_transfers_ < kMaxInflightTransfers &&
            !plba_queue_.empty()) {
         auto [op, plba] = plba_queue_.front();
         plba_queue_.pop_front();
@@ -2702,73 +2692,30 @@ void
 Controller::enqueue_completion(pcie::FunctionId fn, std::uint16_t qid,
                                std::uint64_t tag, CompletionStatus status)
 {
+    // One CQ write plus one MSI per completion, each in its own event
+    // after the completion-engine latency (paper behaviour).
     FunctionContext &c = ctx(fn);
-    if (!completion_batch_) {
-        // Paper behavior: one CQ write plus one MSI per completion,
-        // each in its own event after the completion-engine latency.
-        simulator_.schedule_in(
-            config_.completion_cost, [this, fn, qid, tag, status]() {
-                post_completion(fn, qid, tag, status);
-            });
-        return;
-    }
-    // Batched mode: queue the record on its pair and flush the
-    // window's worth in one event — one pass over that CQ, one MSI
-    // for the lot.
-    Qp *q = qp(c, qid);
-    if (q == nullptr)
+    if (qp(c, qid) == nullptr)
         return; // pair deleted: its completions die with the queue
-    q->comp_batch.push_back(QueuedCompletion{tag, status});
-    if (!q->comp_flush_scheduled) {
-        q->comp_flush_scheduled = true;
-        simulator_.schedule_in(
-            config_.completion_cost,
-            [this, fn, qid]() { flush_completions(fn, qid); });
-    }
+    simulator_.schedule_in(kCompletionCost,
+                           [this, fn, ref = c.qps[qid], tag, status]() {
+                               post_completion(fn, ref, tag, status);
+                           });
 }
 
 void
-Controller::flush_completions(pcie::FunctionId fn, std::uint16_t qid)
-{
-    FunctionContext &c = ctx(fn);
-    Qp *q = qp(c, qid);
-    if (q == nullptr)
-        return; // pair deleted between enqueue and flush
-    q->comp_flush_scheduled = false;
-    std::vector<QueuedCompletion> batch;
-    batch.swap(q->comp_batch);
-    bool raise = false;
-    for (const QueuedCompletion &qc : batch)
-        raise = post_completion_record(fn, qid, qc.tag, qc.status) ||
-                raise;
-    if (raise)
-        raise_completion_irq(fn, qid);
-}
-
-void
-Controller::post_completion(pcie::FunctionId fn, std::uint16_t qid,
+Controller::post_completion(pcie::FunctionId fn, QpRef ref,
                             std::uint64_t tag, CompletionStatus status)
 {
-    if (post_completion_record(fn, qid, tag, status))
-        raise_completion_irq(fn, qid);
-}
-
-bool
-Controller::post_completion_record(pcie::FunctionId fn,
-                                   std::uint16_t qid, std::uint64_t tag,
-                                   CompletionStatus status)
-{
-    FunctionContext &c = ctx(fn);
-    if (!c.active)
-        return false;
-    Qp *q = qp(c, qid);
+    Qp *q = qp_arena_.get(ref);
     if (q == nullptr)
-        return false; // pair deleted: the completion is dropped
+        return; // pair deleted or reset: the completion is dropped
+    FunctionContext &c = ctx(fn);
     if (!q->cq) {
         auto ring = pcie::HostRing::attach(host_memory_, q->cq_base);
         if (!ring.is_ok()) {
             NESC_LOG_WARN("fn %u: completion with no completion ring", fn);
-            return false;
+            return;
         }
         pcie::HostRing attached = std::move(ring).value();
         if (attached.record_size() != sizeof(CompletionRecord) ||
@@ -2778,7 +2725,7 @@ Controller::post_completion_record(pcie::FunctionId fn,
             ++c.stats.ring_corruptions;
             metrics_.bump("ring_corruptions");
             note_validation_fault(fn, QuarantineCause::kRingCorrupt);
-            return false;
+            return;
         }
         // Completions are device writes into guest memory: a confined
         // fn's completion ring must also sit inside its windows.
@@ -2788,7 +2735,7 @@ Controller::post_completion_record(pcie::FunctionId fn,
                                    attached.capacity(),
                                    attached.record_size()))
                  .is_ok())
-            return false; // the violation hook has quarantined the fn
+            return; // the violation hook has quarantined the fn
         q->cq = std::move(attached);
     }
     CompletionRecord rec{tag, static_cast<std::uint32_t>(status), 0};
@@ -2814,32 +2761,30 @@ Controller::post_completion_record(pcie::FunctionId fn,
     flight_.record(fn, obs::FlightEventType::kComplete, simulator_.now(),
                    static_cast<std::uint32_t>(tag), 0,
                    static_cast<std::uint32_t>(status));
-    return true;
+    raise_completion_irq(fn, ref, *q);
 }
 
 void
-Controller::raise_completion_irq(pcie::FunctionId fn, std::uint16_t qid)
+Controller::raise_completion_irq(pcie::FunctionId fn, QpRef ref, Qp &q)
 {
-    FunctionContext &c = ctx(fn);
-    Qp *q = qp(c, qid);
     const pcie::IrqVector vector =
-        (q != nullptr && q->irq_vector) ? q->irq_vector
-                                        : queue_vector(fn, qid);
+        q.irq_vector ? q.irq_vector : queue_vector(fn, q.qid);
     if (config_.irq_coalesce == 0) {
         irq_.raise(vector);
         return;
     }
     // Coalesced mode: one MSI per window per pair, batching whatever
-    // completions accumulate in that CQ meanwhile.
-    if (q == nullptr || q->irq_pending)
+    // completions accumulate in that CQ meanwhile. The timer holds the
+    // pair's handle: a pair deleted or reset meanwhile takes its MSI
+    // with it and never clears its successor's pending flag.
+    if (q.irq_pending)
         return;
-    q->irq_pending = true;
-    simulator_.schedule_in(config_.irq_coalesce, [this, fn, qid, vector]() {
-        FunctionContext &fc = ctx(fn);
-        if (Qp *fq = qp(fc, qid); fq != nullptr)
+    q.irq_pending = true;
+    simulator_.schedule_in(config_.irq_coalesce, [this, ref, vector]() {
+        if (Qp *fq = qp_arena_.get(ref); fq != nullptr) {
             fq->irq_pending = false;
-        if (fc.active)
             irq_.raise(vector);
+        }
     });
     metrics_.bump("irqs_coalesced");
 }

@@ -88,28 +88,13 @@ struct ControllerConfig {
     std::uint64_t node_cache_bytes = 0;
     /**
      * MSHR-style walk-miss coalescing: concurrent BTLB misses of one
-     * function within coalesce_window_blocks of an in-flight walk
-     * attach to it instead of launching their own tree walk. Off in
-     * the paper's prototype.
+     * function within this many blocks of an in-flight walk attach to
+     * it instead of launching their own tree walk. 0 = off (the
+     * paper's prototype). Runtime-tunable via reg::kWalkCoalesce.
      */
-    bool walk_coalescing = false;
-    std::uint32_t coalesce_window_blocks = 256;
+    std::uint32_t walk_coalesce_window = 0;
     /** Concurrent block walks (the unit overlaps two, §V.B). */
     std::uint32_t walk_overlap = 2;
-    /** Shared vLBA queue depth. */
-    std::uint32_t vlba_queue_depth = 16;
-    /** Shared pLBA queue depth. */
-    std::uint32_t plba_queue_depth = 16;
-    /** Data transfers in flight at once. */
-    std::uint32_t max_inflight_transfers = 8;
-    /** Pipeline cost of a BTLB lookup + queue management, per block. */
-    sim::Duration translation_cost = 150;
-    /** Parse cost per tree level, on top of the node DMA. */
-    sim::Duration node_parse_cost = 150;
-    /** Completion record construction cost. */
-    sim::Duration completion_cost = 250;
-    /** Doorbell-to-fetch scheduling delay. */
-    sim::Duration doorbell_latency = 200;
     /**
      * Completion-interrupt coalescing window: after the first pending
      * completion the MSI fires once this much later, batching any
@@ -119,33 +104,13 @@ struct ControllerConfig {
     sim::Duration irq_coalesce = 0;
     /**
      * Guest-misbehavior quarantine: this many validation faults
-     * (malformed descriptors, corrupted ring headers) within
-     * quarantine_window moves the function to quarantine. 0 disables
-     * the storm trigger. DMA-window violations quarantine
-     * immediately regardless. Runtime-tunable via PF-only registers.
+     * (malformed descriptors, corrupted ring headers) within the
+     * reg::kQuarantineWindowNs window moves the function to
+     * quarantine. 0 disables the storm trigger. DMA-window violations
+     * quarantine immediately regardless. Runtime-tunable via PF-only
+     * registers.
      */
     std::uint32_t quarantine_threshold = 8;
-    sim::Duration quarantine_window = 1'000'000; // 1 ms
-    /**
-     * Largest nblocks a single CommandRecord may carry; bigger values
-     * are rejected kMalformed before any per-block state is
-     * allocated (a hostile nblocks of ~2^32 would otherwise expand
-     * into billions of queued block ops).
-     */
-    std::uint32_t max_command_blocks = 65536; // 64 MiB per command
-    /**
-     * Descriptors fetched per fetch event (reg::kFetchBatch); the
-     * fetch engine reschedules itself to continue longer drains.
-     * 0 = drain the whole ring in one event (paper behaviour).
-     */
-    std::uint32_t fetch_batch = 0;
-    /**
-     * Coalesce a function's completion CQ writes landing in one
-     * completion_cost window into a single flush event raising one
-     * MSI (reg::kCompletionBatch). Off = one CQ write + MSI per
-     * completion (paper behaviour).
-     */
-    bool completion_batch = false;
 };
 
 /** Translation fault kinds (drives the hypervisor's service path). */
@@ -390,14 +355,8 @@ class Controller : public pcie::FunctionMmioDevice {
         sim::Time t_translated = 0; ///< translation resolved
     };
 
-    /** A completion waiting in a function's coalesced flush batch. */
-    struct QueuedCompletion {
-        std::uint64_t tag;
-        CompletionStatus status;
-    };
-
-    /** SQ/CQ pair instantiated for the controller's op types. */
-    using Qp = QueuePair<BlockOp, QueuedCompletion>;
+    /** SQ/CQ pair instantiated for the controller's block op. */
+    using Qp = QueuePair<BlockOp>;
     /** Generational reference into the queue-pair arena. */
     using QpRef = sim::Arena<Qp>::Handle;
 
@@ -411,8 +370,9 @@ class Controller : public pcie::FunctionMmioDevice {
         /**
          * Live queue pairs, indexed by qid; a stale handle marks a
          * deleted pair. Pair 0 exists for the function's whole active
-         * life and is aliased by the legacy ring-base/doorbell/
-         * interrupt-vector registers (single-ring paper mode).
+         * life (FLR re-creates it under a fresh handle) and is aliased
+         * by the legacy ring-base/doorbell/interrupt-vector registers
+         * (single-ring paper mode).
          */
         std::vector<QpRef> qps;
         /** PF-programmed total queue-pair quota (including pair 0). */
@@ -500,7 +460,10 @@ class Controller : public pcie::FunctionMmioDevice {
      * the queue — the driver chose to delete it live).
      */
     void destroy_qp(pcie::FunctionId fn, std::uint32_t qid);
-    /** FLR teardown: deletes pairs >= 1, resets pair 0 in place. */
+    /**
+     * FLR teardown: deletes every pair and re-creates pair 0 under a
+     * fresh handle, so work addressed to the old pairs drops.
+     */
     void reset_queue_pairs(FunctionContext &c);
     /** Doorbell write for (fn, qid); dead qids are dropped+counted. */
     util::Status doorbell_write(pcie::FunctionId fn, std::uint32_t qid);
@@ -623,25 +586,18 @@ class Controller : public pcie::FunctionMmioDevice {
                         std::uint32_t remaining, sim::Time t_start,
                         std::uint16_t qid);
     /**
-     * Funnel for every guest-visible completion; records post to the
-     * CQ of the pair the command arrived on. Paper mode posts one CQ
-     * write + MSI after completion_cost; kCompletionBatch mode appends
-     * to the pair's batch and (at most once per window) schedules a
-     * flush that posts all records and raises one MSI.
+     * Funnel for every guest-visible completion: one CQ write plus one
+     * MSI, posted after the completion-engine latency to the pair the
+     * command arrived on. The post holds that pair's handle, so a pair
+     * deleted or reset meanwhile drops it (the completion dies with
+     * its queue) instead of landing on the slot's next occupant.
      */
     void enqueue_completion(pcie::FunctionId fn, std::uint16_t qid,
                             std::uint64_t tag, CompletionStatus status);
-    void flush_completions(pcie::FunctionId fn, std::uint16_t qid);
-    void post_completion(pcie::FunctionId fn, std::uint16_t qid,
-                         std::uint64_t tag, CompletionStatus status);
-    /**
-     * Ring-attach + CQ push + stats/trace for one completion; true
-     * when the completion reached the point that raises the MSI.
-     */
-    bool post_completion_record(pcie::FunctionId fn, std::uint16_t qid,
-                                std::uint64_t tag,
-                                CompletionStatus status);
-    void raise_completion_irq(pcie::FunctionId fn, std::uint16_t qid);
+    /** Ring-attach + CQ push + stats/trace + MSI for one completion. */
+    void post_completion(pcie::FunctionId fn, QpRef ref, std::uint64_t tag,
+                         CompletionStatus status);
+    void raise_completion_irq(pcie::FunctionId fn, QpRef ref, Qp &q);
     void handle_rewalk(pcie::FunctionId fn);
     void fail_stalled(pcie::FunctionId fn);
     std::uint32_t mgmt_execute(MgmtCommand command);
@@ -726,9 +682,8 @@ class Controller : public pcie::FunctionMmioDevice {
     pcie::DmaEngine dma_;
     Btlb btlb_;
     ExtentNodeCache node_cache_;
-    /** Runtime coalescing knobs (reg::kWalkCoalesce overrides config). */
-    bool walk_coalescing_ = false;
-    std::uint32_t coalesce_window_ = 0;
+    /** Walk-coalescing window in blocks, 0 = off (reg::kWalkCoalesce). */
+    std::uint32_t walk_coalesce_window_ = 0;
 
     std::vector<FunctionContext> contexts_;
     util::RingQueue<BlockOp> vlba_queue_;
@@ -758,9 +713,6 @@ class Controller : public pcie::FunctionMmioDevice {
     sim::Time rate_pump_at_ = 0;
     std::uint32_t active_walks_ = 0;
     std::uint32_t inflight_transfers_ = 0;
-    // Runtime batching knobs (reg::kFetchBatch / kCompletionBatch).
-    std::uint32_t fetch_batch_ = 0;
-    bool completion_batch_ = false;
 
     // PF management scratch registers.
     std::uint32_t mgmt_vf_id_ = 0;

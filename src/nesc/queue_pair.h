@@ -6,22 +6,21 @@
  * doorbell / interrupt-vector registers); additional pairs up to the
  * PF-programmed quota are created through the reg::kQp* admin block.
  * Each pair carries its own ring attachments, device-side SQ shadow
- * counters (PR 4's anti-tamper cross-check), fetch-engine flags,
- * completion batch, and MSI vector — the fetch and completion engines
- * run per queue, while arbitration, fault handling, and the command
- * watchdog stay per function.
+ * counters (the anti-tamper cross-check), fetch-engine flags, and MSI
+ * vector — the fetch and completion engines run per queue, while
+ * arbitration, fault handling, and the command watchdog stay per
+ * function.
  *
- * The struct is templated on the controller's block-op and queued-
- * completion types (private nested types of Controller) and lives in a
- * sim::Arena so 256 VFs x 4 pairs recycle ring-queue and batch-vector
- * capacity instead of allocating in steady state.
+ * The struct is templated on the controller's block-op type (a private
+ * nested type of Controller) and lives in a sim::Arena so 256 VFs x 4
+ * pairs recycle ring-queue capacity instead of allocating in steady
+ * state.
  */
 #ifndef NESC_CTRL_QUEUE_PAIR_H
 #define NESC_CTRL_QUEUE_PAIR_H
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 #include "pcie/host_memory.h"
 #include "pcie/host_ring.h"
@@ -37,7 +36,7 @@ struct QueuePairStats {
 };
 
 /** One SQ/CQ pair; see file comment. */
-template <typename Op, typename Comp> struct QueuePair {
+template <typename Op> struct QueuePair {
     std::uint16_t qid = 0;
     pcie::HostAddr sq_base = pcie::kNullHostAddr;
     pcie::HostAddr cq_base = pcie::kNullHostAddr;
@@ -48,15 +47,12 @@ template <typename Op, typename Comp> struct QueuePair {
     bool irq_pending = false; ///< coalesced MSI scheduled
     /** Completion MSI vector; 0 selects queue_vector(fn, qid). */
     std::uint32_t irq_vector = 0;
-    /** Device-side SQ shadow counters (see FunctionContext in PR 4). */
+    /** Device-side SQ shadow counters (see validate_cmd_ring). */
     std::uint32_t sq_shadow_head = 0;
     std::uint32_t sq_shadow_tail = 0;
     bool sq_shadow_valid = false;
     /** Ops fetched from this SQ awaiting arbitration. */
     util::RingQueue<Op> staging;
-    /** Completions awaiting the coalesced flush (kCompletionBatch). */
-    std::vector<Comp> comp_batch;
-    bool comp_flush_scheduled = false;
     QueuePairStats stats;
 
     /**
@@ -79,8 +75,6 @@ template <typename Op, typename Comp> struct QueuePair {
         sq_shadow_tail = 0;
         sq_shadow_valid = false;
         staging.clear();
-        comp_batch.clear();
-        comp_flush_scheduled = false;
         stats = QueuePairStats{};
     }
 };

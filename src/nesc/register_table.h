@@ -112,9 +112,6 @@ inline constexpr std::array kRegisterTable = {
     NESC_REG(TelemetryName0, kPf, kNone, kAlways),
     NESC_REG(TelemetryName1, kPf, kNone, kAlways),
     NESC_REG(TelemetryName2, kPf, kNone, kAlways),
-    // Event batching.
-    NESC_REG(FetchBatch, kPf, kPf, kAlways),
-    NESC_REG(CompletionBatch, kPf, kPf, kAlways),
     // Replication.
     NESC_REG(ReplQuorum, kPf, kPf, kReplicas),
     NESC_REG(ReplReadTimeoutNs, kPf, kPf, kReplicas),

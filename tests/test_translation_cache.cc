@@ -142,8 +142,7 @@ class TranslationCacheTest : public ::testing::Test {
         cfg.max_vfs = 4;
         cfg.btlb_entries = 0; // every access exercises the walk unit
         cfg.node_cache_bytes = 64 << 10;
-        cfg.walk_coalescing = true;
-        cfg.coalesce_window_blocks = 4096;
+        cfg.walk_coalesce_window = 4096;
         return cfg;
     }
 
@@ -425,7 +424,7 @@ TEST_F(TranslationCacheTest, CoalescingAttachesConcurrentMisses)
     for (int enabled = 0; enabled < 2; ++enabled) {
         ControllerConfig cfg = fastpath_config();
         cfg.node_cache_bytes = 0; // isolate the coalescing effect
-        cfg.walk_coalescing = enabled != 0;
+        cfg.walk_coalesce_window = enabled != 0 ? 4096 : 0;
         init(cfg);
         trees_.clear();
         const auto fn =
