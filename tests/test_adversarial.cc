@@ -724,6 +724,101 @@ TEST(CompletionTeardown, CoalescedMsiTimerDiesWithItsPair)
     EXPECT_EQ(h.irq_.raised() - irqs, 1u);
 }
 
+// --- Fetches and timers in flight across teardown -------------------
+
+/**
+ * Rings @p g's doorbell at t=0; 100 ns later, before the fetch runs,
+ * @p teardown resets or re-creates the pair, and the driver re-creates
+ * the rings and pushes one record without ringing. The pending fetch
+ * belonged to the old pair, so it must not drain the new ring; the
+ * record waits for a doorbell of its own.
+ */
+void
+expect_stale_fetch_drops(AdvHarness &h, RawGuest &g, auto teardown)
+{
+    g.doorbell();
+    h.sim_.schedule_at(h.sim_.now() + 100, [&]() {
+        teardown();
+        g.recreate_rings();
+        g.push(valid_write(g, 0));
+    });
+    h.sim_.run_until_idle();
+    EXPECT_EQ(h.controller_.stats(g.fn_).commands, 0u);
+    EXPECT_EQ(h.controller_.stats(g.fn_).completions, 0u);
+    EXPECT_TRUE(g.drain_completions().empty());
+
+    g.doorbell();
+    h.sim_.run_until_idle();
+    EXPECT_EQ(g.drain_completions().size(), 1u);
+}
+
+TEST(FetchTeardown, FnResetDropsThePendingFetch)
+{
+    AdvHarness h;
+    const auto fn = h.create_vf({{0, 64, 2000}}, 64);
+    RawGuest g(h, fn);
+    expect_stale_fetch_drops(h, g, [&]() { g.vf_write(reg::kFnReset, 1); });
+}
+
+TEST(FetchTeardown, QpDeleteAndRecreateDropsThePendingFetch)
+{
+    AdvHarness h;
+    const auto fn = h.create_vf({{0, 64, 2000}}, 64);
+    h.pf_write(reg::kMgmtVfId, fn);
+    h.pf_write(reg::kMgmtQpQuota, 2);
+    h.mgmt(MgmtCommand::kSetQpQuota);
+    RawGuest g(h, fn, 32, /*qid=*/1);
+    expect_stale_fetch_drops(h, g, [&]() {
+        EXPECT_EQ(g.qp_command(QpCommand::kDelete), MgmtStatus::kOk);
+    });
+}
+
+/**
+ * Events executed in [30 us, 90 us) while a VF's writes all stall on a
+ * write miss, one every 3 us, so the 10 us watchdog aborts each in
+ * turn. With @p flr, a stalled write first arms the watchdog and the
+ * VF resets at 500 ns; without, nothing happens before 500 ns. Both
+ * runs then set the watchdog at 500 ns and submit the same writes, so
+ * the counts differ only by watchdog timers the reset left running.
+ */
+std::uint64_t
+watchdog_interval_events(bool flr)
+{
+    constexpr sim::Duration kWatchdog = 10 * sim::kUs;
+    AdvHarness h;
+    const auto fn = h.create_vf({{0, 64, 2000}}, 128); // 64.. unallocated
+    RawGuest g(h, fn);
+    auto stalled_write = [&g]() {
+        g.push(valid_write(g, 100));
+        g.doorbell();
+    };
+    if (flr) {
+        g.vf_write(reg::kWatchdogNs, kWatchdog);
+        stalled_write();
+    }
+    h.sim_.schedule_at(500, [&]() {
+        if (flr) {
+            g.vf_write(reg::kFnReset, 1);
+            g.recreate_rings();
+        }
+        g.vf_write(reg::kWatchdogNs, kWatchdog);
+    });
+    for (sim::Time t = 1 * sim::kUs; t < 100 * sim::kUs; t += 3 * sim::kUs)
+        h.sim_.schedule_at(t, stalled_write);
+    h.sim_.run_until(30 * sim::kUs);
+    const std::uint64_t before = h.sim_.events_executed();
+    h.sim_.run_until(90 * sim::kUs);
+    EXPECT_GT(h.controller_.stats(fn).aborted_ops, 10u);
+    return h.sim_.events_executed() - before;
+}
+
+TEST(WatchdogTeardown, FnResetLeavesOneTimerChain)
+{
+    // The timer armed before the reset still fires once, before the
+    // interval; after that, one chain must serve the re-armed watchdog.
+    EXPECT_EQ(watchdog_interval_events(true), watchdog_interval_events(false));
+}
+
 // --- Deterministic misbehavior fuzzer -------------------------------
 
 /**
