@@ -1,7 +1,7 @@
 /**
  * @file
- * Self-describing telemetry-counter directory exposed through the
- * PF-only reg::kTelemetry* registers.
+ * Per-function statistics and the self-describing telemetry-counter
+ * directory exposed through the PF-only reg::kTelemetry* registers.
  *
  * Each entry binds a stable counter name to a FunctionStats field; the
  * directory order IS the hardware counter index, so appending is ABI-
@@ -14,11 +14,36 @@
 #define NESC_CTRL_TELEMETRY_H
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
-#include "nesc/controller.h"
-
 namespace nesc::ctrl {
+
+/** Per-function runtime statistics. */
+struct FunctionStats {
+    std::uint64_t commands = 0;
+    std::uint64_t blocks_read = 0;
+    std::uint64_t blocks_written = 0;
+    std::uint64_t holes_zero_filled = 0;
+    std::uint64_t faults = 0;
+    std::uint64_t completions = 0;
+    std::uint64_t media_errors = 0; ///< block ops failed by the media
+    std::uint64_t aborted_ops = 0;  ///< commands aborted (watchdog/FLR)
+    std::uint64_t fn_resets = 0;    ///< function-level resets taken
+    std::uint64_t malformed = 0;    ///< descriptors rejected kMalformed
+    std::uint64_t ring_corruptions = 0; ///< ring headers failing checks
+    std::uint64_t dma_violations = 0;   ///< DMA refused by the windows
+    std::uint64_t reg_violations = 0;   ///< PF-only reg writes rejected
+    std::uint64_t quarantines = 0;      ///< times quarantined
+    std::uint64_t doorbells_ignored = 0; ///< doorbells while quarantined
+    /** Doorbells to queue pairs that do not exist (dropped, counted). */
+    std::uint64_t dead_doorbells = 0;
+    /** Checksum mismatches detected on this function's reads. */
+    std::uint64_t checksum_errors = 0;
+    /** SLO threshold violations raised over closed windows. */
+    std::uint64_t slo_breaches = 0;
+};
+
 
 /** One telemetry directory entry. */
 struct TelemetryCounterDesc {
