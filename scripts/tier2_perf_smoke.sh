@@ -108,18 +108,24 @@ EOF
 # Reduced-scale sanitized pass: the 256-VF fast path must also be
 # clean under ASan+UBSan. 40 VFs keeps the arena/bitmap/doorbell
 # machinery fully exercised at a sanitizer-friendly runtime.
+# abl_btlb sweeps both BTLB organisations, the fully associative
+# index at capacities 0 to 256 included (about 30 s sanitized on a
+# shared 4-vCPU VM, 2-3 s in a plain build).
 asan_build="$build-asan"
 cmake -B "$asan_build" -S "$repo" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DNESC_SANITIZE=ON
-cmake --build "$asan_build" -j "$(nproc)" --target abl_vf_scale
+cmake --build "$asan_build" -j "$(nproc)" --target abl_vf_scale abl_btlb
 asan_run="$asan_build/perf-smoke"
 mkdir -p "$asan_run"
+export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1"
+export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 echo "--- running abl_vf_scale --vfs 40 (ASan+UBSan) ---"
 (cd "$asan_run" &&
-   ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
-   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
    "$asan_build/bench/abl_vf_scale" --vfs 40 > abl_vf_scale.out)
+echo "--- running abl_btlb (ASan+UBSan) ---"
+(cd "$asan_run" && "$asan_build/bench/abl_btlb" > abl_btlb.out)
+unset ASAN_OPTIONS UBSAN_OPTIONS
 
 python3 - "$baseline" "$run/BENCH_PR3.json" <<'EOF'
 import json

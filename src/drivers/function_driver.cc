@@ -196,7 +196,9 @@ FunctionDriver::issue_chunks(std::uint64_t request_id)
 
     // Chunks stripe round-robin across the configured queue pairs;
     // with a single pair this degenerates to the legacy path exactly.
-    std::vector<bool> dirty(queues_.size(), false);
+    // Bit qid of `dirty` marks a pair with commands behind its doorbell.
+    static_assert(ctrl::kMaxQueuePairs <= 32);
+    std::uint32_t dirty = 0;
     std::uint32_t submitted_blocks = 0;
     while (submitted_blocks < nblocks) {
         const std::uint32_t chunk = std::min<std::uint32_t>(
@@ -218,7 +220,7 @@ FunctionDriver::issue_chunks(std::uint64_t request_id)
         if (!pushed.is_ok()) {
             // Ring full: kick the device and retry after it drains.
             ring_doorbell(qid);
-            dirty[qid] = false;
+            dirty &= ~(1u << qid);
             while (!pushed.is_ok() &&
                    pushed.code() == util::ErrorCode::kUnavailable) {
                 if (!simulator_.step()) {
@@ -229,12 +231,12 @@ FunctionDriver::issue_chunks(std::uint64_t request_id)
             }
             NESC_RETURN_IF_ERROR(pushed);
         }
-        dirty[qid] = true;
+        dirty |= 1u << qid;
         submitted_blocks += chunk;
         ++submitted_;
     }
     for (std::uint32_t qid = 0; qid < queues_.size(); ++qid)
-        if (dirty[qid])
+        if ((dirty >> qid) & 1)
             ring_doorbell(qid);
 
     auto it = requests_.find(request_id);

@@ -34,7 +34,8 @@ postmortem_reason_name(PostmortemReason reason)
 void
 FlightRecorder::enable(std::uint16_t num_functions, std::size_t depth)
 {
-    const std::size_t want = std::bit_ceil(std::max<std::size_t>(1, depth));
+    const std::size_t want =
+        std::bit_ceil(std::clamp<std::size_t>(depth, 1, kMaxDepth));
     // Same-shape re-enable only rewinds the heads: every slot behind a
     // zero head is unreachable, so skipping the ring memset (tens of
     // KiB) is invisible to readers but keeps re-arming from flushing

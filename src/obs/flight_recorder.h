@@ -76,15 +76,17 @@ class FlightRecorder {
   public:
     /** Default per-function ring depth (events retained). */
     static constexpr std::size_t kDefaultDepth = 32;
+    /** Largest per-function ring depth enable() applies. */
+    static constexpr std::size_t kMaxDepth = 4096;
     /** Postmortems retained before drop-oldest kicks in. */
     static constexpr std::size_t kMaxPostmortems = 16;
 
     /**
      * Enables recording for @p num_functions functions with a ring of
-     * @p depth events each (rounded up to a power of two, so the
-     * per-record ring index is a mask, not a division). Re-enabling
-     * resets all rings. Retained postmortems survive enable/disable
-     * cycles.
+     * @p depth events each (clamped to [1, kMaxDepth] and rounded up to
+     * a power of two, so the per-record ring index is a mask, not a
+     * division). Re-enabling resets all rings. Retained postmortems
+     * survive enable/disable cycles.
      */
     void enable(std::uint16_t num_functions,
                 std::size_t depth = kDefaultDepth);

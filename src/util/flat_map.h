@@ -8,7 +8,8 @@
  * malloc/free pairs per I/O forever. FlatMap stores slots inline in
  * one array (linear probing, tombstone deletion), so steady-state
  * insert/erase churn never touches the allocator once the table has
- * grown to the in-flight high-water mark. Iteration order is the slot
+ * grown to the in-flight high-water mark (a tombstone purge rehashes
+ * into a kept spare array). Iteration order is the slot
  * order of a deterministic hash — stable across runs, but unlike any
  * node-map order; the few order-sensitive walkers collect and sort
  * keys first (they already had to under `std::unordered_map`).
@@ -249,9 +250,10 @@ class FlatMap {
                            : (size_ * 2 >= slots_.size()
                                   ? slots_.size() * 2
                                   : slots_.size()); // tombstone purge
-        std::vector<Slot> old;
-        old.swap(slots_);
-        slots_.resize(cap);
+        // Rehash into the spare array, then keep the old one as the next
+        // spare: steady-state churn purges tombstones without allocating.
+        std::vector<Slot> old = std::exchange(slots_, std::move(spare_));
+        slots_.assign(cap, Slot{});
         size_ = 0;
         tombstones_ = 0;
         for (Slot &slot : old) {
@@ -264,9 +266,11 @@ class FlatMap {
             dst->state = State::kFull;
             ++size_;
         }
+        spare_ = std::move(old);
     }
 
     std::vector<Slot> slots_;
+    std::vector<Slot> spare_; ///< last purge's source; reused by the next
     std::size_t size_ = 0;
     std::size_t tombstones_ = 0;
 };

@@ -61,21 +61,40 @@ util::Result<DdResult> run_dd_file(sim::Simulator &simulator,
                                    virt::GuestVm &vm, fs::InodeId ino,
                                    const DdConfig &config);
 
-/** Deterministic pattern byte for stream position @p pos. */
+/** Multiplier of the pattern hash (2^64 / golden ratio, odd). */
+inline constexpr std::uint64_t kPatternMultiplier = 0x9e3779b97f4a7c15ULL;
+
+/**
+ * Deterministic pattern byte for stream position @p pos: the
+ * definition fill_pattern() and check_pattern() reproduce.
+ */
 constexpr std::byte
 pattern_byte(std::uint64_t seed, std::uint64_t pos)
 {
-    const std::uint64_t x = (pos ^ seed) * 0x9e3779b97f4a7c15ULL;
+    const std::uint64_t x = (pos ^ seed) * kPatternMultiplier;
     return static_cast<std::byte>((x >> 32) & 0xff);
 }
 
-/** Fills @p buf with the pattern starting at stream position @p pos. */
+/**
+ * Fills @p buf with the pattern starting at stream position @p pos:
+ * buf[i] = pattern_byte(seed, pos + i), the position wrapping at 2^64.
+ * On x86-64 it generates 256 positions at a time from tables with
+ * SSE2 (see dd.cc); elsewhere it is detail::fill_pattern_portable.
+ */
 void fill_pattern(std::uint64_t seed, std::uint64_t pos,
                   std::span<std::byte> buf);
 
 /** Verifies @p buf against the pattern; returns first mismatch or -1. */
 std::int64_t check_pattern(std::uint64_t seed, std::uint64_t pos,
                            std::span<const std::byte> buf);
+
+namespace detail {
+
+/** fill_pattern() one pattern_byte() at a time. */
+void fill_pattern_portable(std::uint64_t seed, std::uint64_t pos,
+                           std::span<std::byte> buf);
+
+} // namespace detail
 
 } // namespace nesc::wl
 

@@ -1,12 +1,13 @@
 /**
  * @file
- * Heap-allocation regression tests for the replicated write fan-out
- * and the buffer cache's flush.
+ * Heap-allocation regression tests for the replicated write fan-out,
+ * the buffer cache's flush and the function driver's submit path.
  *
  * The per-backend dirty log, the journal commit and the checksum
- * sidecar's write-through run several times per guest write, and a
- * guest's buffer cache flushes on every fsync, so each must reuse its
- * storage instead of allocating. This binary replaces
+ * sidecar's write-through run several times per guest write, a
+ * guest's buffer cache flushes on every fsync, and every block request
+ * passes through a function driver, so each must reuse its storage
+ * instead of allocating. This binary replaces
  * the global operator new to count allocations, which is why it is an
  * executable of its own: no other test runs under the replacement.
  */
@@ -26,6 +27,7 @@
 #include "sim/simulator.h"
 #include "storage/integrity_map.h"
 #include "storage/mem_block_device.h"
+#include "virt/testbed.h"
 #include "workloads/dd.h"
 
 namespace {
@@ -228,6 +230,66 @@ TEST(Allocations, ReplicatedFanOutPerWriteStaysBounded)
         << " writes and as many reads";
     ASSERT_TRUE(set.verify_equal(0, 1).is_ok());
     EXPECT_TRUE(*set.verify_equal(0, 2));
+}
+
+/**
+ * Steady-state submissions and completions through one function
+ * driver (the PF's data path), in bursts that keep several requests
+ * in flight and split each into several commands.
+ */
+TEST(Allocations, FunctionDriverSubmitAndCompleteStayBounded)
+{
+    virt::TestbedConfig config;
+    config.device.capacity_bytes = 64ULL << 20;
+    config.host_memory_bytes = 64ULL << 20;
+    auto bed = virt::Testbed::create(config);
+    ASSERT_TRUE(bed.is_ok()) << bed.status().to_string();
+    drv::FunctionDriver &pf = (*bed)->pf().pf_data();
+    const std::uint64_t base =
+        (*bed)->device().geometry().num_blocks() - 256;
+    constexpr int kBurst = 8;
+    constexpr std::uint32_t kBlocks = 8; // two 4 KiB commands each
+    auto buffer = (*bed)->host_memory().alloc(kBurst * kBlocks * 1024, 64);
+    ASSERT_TRUE(buffer.is_ok());
+
+    int failures = 0;
+    auto burst = [&](int round) {
+        for (int i = 0; i < kBurst; ++i) {
+            const ctrl::Opcode op =
+                (round + i) % 2 ? ctrl::Opcode::kWrite : ctrl::Opcode::kRead;
+            const std::uint64_t vlba =
+                base + static_cast<std::uint64_t>((round * kBurst + i) * 8 %
+                                                  256);
+            const util::Status submitted = pf.submit(
+                op, vlba, kBlocks, *buffer + i * kBlocks * 1024,
+                [&failures](ctrl::CompletionStatus status) {
+                    failures += status == ctrl::CompletionStatus::kOk ? 0 : 1;
+                });
+            failures += submitted.is_ok() ? 0 : 1;
+        }
+        (*bed)->sim().run_until_idle();
+    };
+
+    // Warm-up grows the request and tag maps, the device's pending
+    // command maps and the event pool to the burst's high-water mark.
+    for (int round = 0; round < 64; ++round)
+        burst(round);
+    const std::uint64_t submitted = pf.submitted();
+    const std::uint64_t completed = pf.completed();
+    AllocationCount count;
+    constexpr int kRounds = kOps / kBurst;
+    for (int round = 0; round < kRounds; ++round)
+        burst(round);
+    const std::uint64_t allocations = count();
+    const int requests = kRounds * kBurst;
+    EXPECT_EQ(failures, 0);
+    EXPECT_EQ(pf.submitted() - submitted, 2u * requests);
+    EXPECT_EQ(pf.completed() - completed, static_cast<std::uint64_t>(requests));
+    // Measured at 0: the request and tag maps and the device's pending
+    // commands reuse their slots, and a per-submit allocation shows up
+    // here as at least 1 per request.
+    EXPECT_LE(static_cast<double>(allocations) / requests, 0.05)
+        << allocations << " allocations over " << requests << " requests";
 }
 
 } // namespace

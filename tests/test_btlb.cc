@@ -4,7 +4,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <optional>
+#include <vector>
+
 #include "nesc/btlb.h"
+#include "util/rng.h"
 
 namespace nesc::ctrl {
 namespace {
@@ -243,6 +249,174 @@ TEST(BtlbSetAssoc, ReconfigureFlushesButKeepsStats)
     EXPECT_TRUE(btlb.fully_associative());
     EXPECT_EQ(btlb.size(), 0u);
     EXPECT_EQ(btlb.hits(), hits);
+}
+
+TEST(BtlbSetAssoc, WaysClampToPlruWord)
+{
+    // 2 sets x 128 ways would put pLRU tree bits past bit 63.
+    Btlb btlb(BtlbConfig{256, 2, 6});
+    EXPECT_EQ(btlb.sets(), 2u);
+    EXPECT_EQ(btlb.ways(), Btlb::kMaxWays);
+    EXPECT_EQ(btlb.capacity(), 2 * Btlb::kMaxWays);
+    // Fill both sets past their ways so pLRU picks every victim, then
+    // touch each way: every tree node up to bit 62 is walked.
+    for (std::uint64_t i = 0; i < 4 * Btlb::kMaxWays; ++i)
+        btlb.insert(1, Extent{i * 64, 64, i}, i * 64);
+    EXPECT_EQ(btlb.size(), btlb.capacity());
+    for (std::uint64_t i = 0; i < 4 * Btlb::kMaxWays; ++i)
+        (void)btlb.lookup(1, i * 64);
+    EXPECT_EQ(btlb.hits(), btlb.capacity());
+}
+
+TEST(BtlbGeometry, EntriesAndShiftClamp)
+{
+    Btlb btlb(BtlbConfig{0xffffffffu, 0, 200});
+    EXPECT_TRUE(btlb.fully_associative());
+    EXPECT_EQ(btlb.capacity(), Btlb::kMaxEntries);
+    EXPECT_EQ(btlb.range_shift(), Btlb::kMaxRangeShift);
+
+    btlb.configure(BtlbConfig{0xffffffffu, 0xffffffffu, 64});
+    EXPECT_FALSE(btlb.fully_associative());
+    EXPECT_EQ(btlb.sets(), Btlb::kMaxEntries);
+    EXPECT_EQ(btlb.ways(), 1u);
+    EXPECT_EQ(btlb.capacity(), Btlb::kMaxEntries);
+    EXPECT_EQ(btlb.range_shift(), Btlb::kMaxRangeShift);
+    btlb.insert(3, Extent{~std::uint64_t{0} - 8, 4, 1}, ~std::uint64_t{0} - 6);
+    EXPECT_TRUE(btlb.lookup(3, ~std::uint64_t{0} - 6).has_value());
+}
+
+/**
+ * The fully associative organisation as a plain FIFO scan: the
+ * reference the indexed Btlb must reproduce op for op, statistics
+ * included.
+ */
+class LinearScanBtlb {
+  public:
+    explicit LinearScanBtlb(std::uint32_t capacity) : capacity_(capacity) {}
+
+    std::optional<Extent>
+    lookup(pcie::FunctionId fn, extent::Vlba vlba)
+    {
+        for (const Entry &e : entries_) {
+            ++probes_;
+            if (e.fn == fn && e.extent.contains(vlba)) {
+                ++hits_;
+                return e.extent;
+            }
+        }
+        ++misses_;
+        return std::nullopt;
+    }
+
+    void
+    insert(pcie::FunctionId fn, const Extent &extent)
+    {
+        if (capacity_ == 0)
+            return;
+        for (auto it = entries_.begin(); it != entries_.end();) {
+            if (it->fn == fn && it->extent == extent)
+                return;
+            if (it->fn == fn &&
+                it->extent.first_vblock < extent.end_vblock() &&
+                extent.first_vblock < it->extent.end_vblock()) {
+                it = entries_.erase(it);
+                ++overlap_evictions_;
+                continue;
+            }
+            ++it;
+        }
+        if (entries_.size() >= capacity_)
+            entries_.pop_front();
+        entries_.push_back(Entry{fn, extent});
+        ++inserts_;
+    }
+
+    void flush() { entries_.clear(); }
+
+    void
+    flush_function(pcie::FunctionId fn)
+    {
+        std::erase_if(entries_, [fn](const Entry &e) { return e.fn == fn; });
+    }
+
+    std::size_t size() const { return entries_.size(); }
+
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+    std::uint64_t inserts_ = 0;
+    std::uint64_t overlap_evictions_ = 0;
+    std::uint64_t probes_ = 0;
+
+  private:
+    struct Entry {
+        pcie::FunctionId fn;
+        Extent extent;
+    };
+    std::uint32_t capacity_;
+    std::deque<Entry> entries_;
+};
+
+TEST(BtlbModel, FullyAssociativeMatchesLinearScan)
+{
+    std::vector<std::uint32_t> capacities;
+    for (std::uint32_t c = 1; c <= 64; ++c)
+        capacities.push_back(c);
+    capacities.push_back(512);
+    constexpr int kRounds = 4;
+    constexpr int kOps = 5000;
+    constexpr std::uint64_t kFunctions = 10;
+    for (std::uint32_t capacity : capacities) {
+        for (int round = 0; round < kRounds; ++round) {
+            util::Rng rng(capacity * 1000003ULL + round);
+            Btlb btlb(capacity);
+            LinearScanBtlb model(capacity);
+            // A small vLBA space per function makes overlaps common;
+            // re-inserting a recent extent makes duplicates common.
+            const std::uint64_t span = 4 + rng.next_below(capacity * 8);
+            std::vector<std::pair<pcie::FunctionId, Extent>> recent;
+            for (int op = 0; op < kOps; ++op) {
+                const auto at = [&] {
+                    return ::testing::Message() << "capacity " << capacity
+                                                << " round " << round
+                                                << " op " << op;
+                };
+                const auto fn =
+                    static_cast<pcie::FunctionId>(rng.next_below(kFunctions));
+                const std::uint64_t kind = rng.next_below(100);
+                if (kind < 45) {
+                    const extent::Vlba vlba = rng.next_below(span + 16);
+                    const auto got = btlb.lookup(fn, vlba);
+                    ASSERT_EQ(got, model.lookup(fn, vlba)) << at();
+                } else if (kind < 80) {
+                    const Extent e{rng.next_below(span),
+                                   rng.next_below(12),
+                                   rng.next_below(4) * 1000};
+                    btlb.insert(fn, e);
+                    model.insert(fn, e);
+                    recent.emplace_back(fn, e);
+                    if (recent.size() > 16)
+                        recent.erase(recent.begin());
+                } else if (kind < 96 && !recent.empty()) {
+                    const auto [dfn, e] = recent[rng.next_below(recent.size())];
+                    btlb.insert(dfn, e);
+                    model.insert(dfn, e);
+                } else if (kind < 99) {
+                    btlb.flush_function(fn);
+                    model.flush_function(fn);
+                } else {
+                    btlb.flush();
+                    model.flush();
+                }
+                ASSERT_EQ(btlb.hits(), model.hits_) << at();
+                ASSERT_EQ(btlb.misses(), model.misses_) << at();
+                ASSERT_EQ(btlb.inserts(), model.inserts_) << at();
+                ASSERT_EQ(btlb.probes(), model.probes_) << at();
+                ASSERT_EQ(btlb.overlap_evictions(), model.overlap_evictions_)
+                    << at();
+                ASSERT_EQ(btlb.size(), model.size()) << at();
+            }
+        }
+    }
 }
 
 } // namespace

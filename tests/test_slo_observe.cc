@@ -796,6 +796,26 @@ TEST_F(ObsRegisterTest, FlightDepthAppliesAtEnable)
     EXPECT_FALSE(bed_->controller().flight_recorder().enabled());
 }
 
+TEST_F(ObsRegisterTest, FlightDepthClampsAtEnable)
+{
+    // The latch keeps what the PF wrote; enable applies at most
+    // kMaxDepth events per function instead of sizing the rings (and
+    // std::bit_ceil) from it.
+    for (std::uint64_t depth :
+         {std::uint64_t{1} << 40, (std::uint64_t{1} << 63) + 1}) {
+        ASSERT_TRUE(pf_write(ctrl::reg::kFlightDepth, depth).is_ok());
+        ASSERT_TRUE(pf_write(ctrl::reg::kFlightCtrl, 1).is_ok());
+        const obs::FlightRecorder &flight =
+            bed_->controller().flight_recorder();
+        EXPECT_TRUE(flight.enabled());
+        EXPECT_EQ(flight.depth(), obs::FlightRecorder::kMaxDepth);
+        auto latched = pf_read(ctrl::reg::kFlightDepth);
+        ASSERT_TRUE(latched.is_ok());
+        EXPECT_EQ(*latched, depth);
+        ASSERT_TRUE(pf_write(ctrl::reg::kFlightCtrl, 0).is_ok());
+    }
+}
+
 TEST_F(ObsRegisterTest, SamplerTicksAtProgrammedInterval)
 {
     // Arming takes one immediate baseline sample.

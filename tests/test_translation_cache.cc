@@ -590,6 +590,48 @@ TEST_F(TranslationCacheTest, GeometryRegisterReconfigures)
     EXPECT_EQ(controller_->btlb().capacity(), 8u);
 }
 
+TEST_F(TranslationCacheTest, GeometryRegisterClampsToBounds)
+{
+    ControllerConfig cfg;
+    cfg.max_vfs = 4;
+    init(cfg);
+
+    // 2 sets x 128 ways: the ways clamp to what one pLRU word holds.
+    ASSERT_TRUE(controller_
+                    ->mmio_write(0, reg::kBtlbGeometry,
+                                 encode_btlb_geometry(2, 128, 6), 8)
+                    .is_ok());
+    EXPECT_EQ(controller_->btlb().ways(), Btlb::kMaxWays);
+    EXPECT_EQ(*controller_->mmio_read(0, reg::kBtlbGeometry, 8),
+              encode_btlb_geometry(2, Btlb::kMaxWays, 6));
+
+    // 65535 sets x 65535 ways: the capacity clamps to kMaxEntries.
+    ASSERT_TRUE(controller_
+                    ->mmio_write(0, reg::kBtlbGeometry, 0xffffffff, 8)
+                    .is_ok());
+    EXPECT_EQ(controller_->btlb().capacity(), Btlb::kMaxEntries);
+    EXPECT_EQ(*controller_->mmio_read(0, reg::kBtlbGeometry, 8),
+              encode_btlb_geometry(32768, 2, 0));
+
+    // A range shift past 63 would shift a vLBA by its full width.
+    ASSERT_TRUE(
+        controller_->mmio_write(0, reg::kBtlbGeometry, ~std::uint64_t{0}, 8)
+            .is_ok());
+    EXPECT_FALSE(controller_->btlb().fully_associative());
+    EXPECT_EQ(controller_->btlb().capacity(), Btlb::kMaxEntries);
+    EXPECT_EQ(*controller_->mmio_read(0, reg::kBtlbGeometry, 8),
+              encode_btlb_geometry(32768, 2, Btlb::kMaxRangeShift));
+
+    // The live geometry still translates.
+    const auto fn =
+        create_vf(striped_extents(), 256, 1, extent::TreeConfig{4});
+    auto driver = make_driver(fn);
+    std::vector<std::byte> buf(1024);
+    ASSERT_TRUE(driver->read_sync(0, 1, buf).is_ok());
+    ASSERT_TRUE(driver->read_sync(0, 1, buf).is_ok());
+    EXPECT_GE(controller_->btlb().hits(), 1u);
+}
+
 TEST_F(TranslationCacheTest, NodeCacheAndCoalesceRegisters)
 {
     ControllerConfig cfg;

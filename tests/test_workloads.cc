@@ -55,6 +55,90 @@ TEST(DdPattern, FillAndCheckAgree)
     EXPECT_NE(check_pattern(8, 123, buf), -1);
 }
 
+/**
+ * fill_pattern() generates a run of positions at a time; every byte it
+ * writes must be pattern_byte() of its position, and nothing outside
+ * the buffer may change. Guards on both sides catch a run overshoot.
+ */
+void
+expect_fill_matches(std::uint64_t seed, std::uint64_t pos, std::size_t len)
+{
+    constexpr std::size_t kGuard = 32;
+    constexpr std::byte kPoison{0x5a};
+    std::vector<std::byte> buf(len + 2 * kGuard, kPoison);
+    const std::span<std::byte> body(buf.data() + kGuard, len);
+    fill_pattern(seed, pos, body);
+    for (std::size_t i = 0; i < len; ++i) {
+        ASSERT_EQ(body[i], pattern_byte(seed, pos + i))
+            << "seed " << seed << " pos " << pos << " len " << len
+            << " i " << i;
+    }
+    for (std::size_t i = 0; i < kGuard; ++i) {
+        ASSERT_EQ(buf[i], kPoison) << "pos " << pos << " len " << len;
+        ASSERT_EQ(buf[kGuard + len + i], kPoison)
+            << "pos " << pos << " len " << len;
+    }
+    ASSERT_EQ(check_pattern(seed, pos, body), -1)
+        << "seed " << seed << " pos " << pos << " len " << len;
+}
+
+TEST(PatternFill, MatchesPatternByte)
+{
+    // Every length up to 1 KiB from offsets on both sides of 16- and
+    // 256-byte boundaries, in low memory, near 2^32 and across the
+    // 2^64 wrap.
+    for (std::uint64_t base : {std::uint64_t{0}, std::uint64_t{4096},
+                               (std::uint64_t{1} << 32) - 512,
+                               ~std::uint64_t{0} - 767}) {
+        for (std::uint64_t off : {0, 1, 15, 16, 17, 200, 255}) {
+            for (std::size_t len = 0; len <= 1024; ++len) {
+                expect_fill_matches(0x1234'5678'9abc'def0ULL + off,
+                                    base + off, len);
+                if (::testing::Test::HasFatalFailure())
+                    return;
+            }
+        }
+    }
+    // Every low byte of the seed (it permutes a run's table rows),
+    // under changing high bits.
+    for (std::uint64_t low = 0; low < 256; ++low) {
+        const std::uint64_t seed = (low * 0x0101'0101'0101'0000ULL) | low;
+        for (std::uint64_t pos : {std::uint64_t{0}, std::uint64_t{77},
+                                  (std::uint64_t{1} << 32) - 100,
+                                  ~std::uint64_t{0} - 300}) {
+            expect_fill_matches(seed, pos, 600);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+    }
+    // The portable loop is the definition, byte for byte.
+    std::vector<std::byte> portable(1000);
+    detail::fill_pattern_portable(99, ~std::uint64_t{0} - 500, portable);
+    for (std::size_t i = 0; i < portable.size(); ++i)
+        ASSERT_EQ(portable[i], pattern_byte(99, ~std::uint64_t{0} - 500 + i));
+}
+
+TEST(PatternFill, CheckFindsFirstMismatch)
+{
+    std::vector<std::byte> buf(1024);
+    fill_pattern(5, 250, buf);
+    EXPECT_EQ(check_pattern(5, 250, std::span<const std::byte>{}), -1);
+    for (std::size_t bad : {std::size_t{0}, std::size_t{5}, std::size_t{6},
+                            std::size_t{255}, std::size_t{256},
+                            std::size_t{700}, std::size_t{1023}}) {
+        buf[bad] ^= std::byte{0x80};
+        EXPECT_EQ(check_pattern(5, 250, buf), static_cast<std::int64_t>(bad));
+        // A later mismatch does not hide the first one.
+        buf[1023 - (bad % 16)] ^= std::byte{0x01};
+        EXPECT_EQ(check_pattern(5, 250, buf),
+                  static_cast<std::int64_t>(
+                      std::min(bad, 1023 - (bad % 16))));
+        buf[1023 - (bad % 16)] ^= std::byte{0x01};
+        buf[bad] ^= std::byte{0x80};
+    }
+    EXPECT_EQ(check_pattern(5, 250, buf), -1);
+}
+
 // --- dd ---------------------------------------------------------------------
 
 TEST_F(WorkloadTest, DdRawWriteThenVerifyRead)
