@@ -10,8 +10,6 @@
  * 84% offered share into service share (block-granular round robin
  * caps it), and the equally-loaded clients get identical service.
  */
-#include <algorithm>
-
 #include "bench/common.h"
 #include "util/rng.h"
 
@@ -101,29 +99,5 @@ main()
     }
     bench::print_table(table);
 
-    // Machine-readable form: the aggressive client's service share must
-    // stay bounded, and the three equally-loaded clients must split the
-    // remainder evenly (max/min spread ~1).
-    std::uint64_t modest_min = clients[1].completed;
-    std::uint64_t modest_max = clients[1].completed;
-    for (int i = 2; i < kVfs; ++i) {
-        modest_min = std::min(modest_min, clients[i].completed);
-        modest_max = std::max(modest_max, clients[i].completed);
-    }
-    bench::emit_bench_json(
-        "BENCH_A4_FAIRNESS.json", 8,
-        "service fairness under asymmetric VF load (QD 32 vs 2/2/2)",
-        {
-            {"total_4k_reads", static_cast<double>(total), true},
-            {"aggressive_share_pct",
-             100.0 * static_cast<double>(clients[0].completed) /
-                 static_cast<double>(total),
-             false},
-            {"modest_spread_ratio",
-             modest_min > 0 ? static_cast<double>(modest_max) /
-                                  static_cast<double>(modest_min)
-                            : 0.0,
-             false},
-        });
     return 0;
 }

@@ -42,8 +42,6 @@ main()
     util::Table table({"transient_prob", "ops_ok", "ops_failed",
                        "retries", "goodput_mb_s", "clean_p50_us",
                        "recov_mean_us", "recov_p99_us"});
-    std::vector<bench::BenchMetric> metrics;
-    double clean_goodput = 0.0;
     for (double prob : {0.0, 1e-4, 1e-3, 1e-2, 5e-2}) {
         sim::Simulator sim;
         pcie::HostMemory host_memory(64ULL << 20);
@@ -132,26 +130,7 @@ main()
             .add(clean_lat.median())
             .add(recov_lat.mean())
             .add(recov_lat.percentile(99.0));
-        if (prob == 0.0) {
-            clean_goodput = goodput_mb;
-            metrics.push_back(
-                {"goodput_mb_s_fault_free", goodput_mb, true});
-            metrics.push_back(
-                {"clean_p50_us", clean_lat.median(), false});
-        } else if (prob == 1e-2) {
-            metrics.push_back({"goodput_mb_s_1pct_errors", goodput_mb,
-                               true});
-            metrics.push_back({"goodput_retention_1pct",
-                               goodput_mb / clean_goodput, true});
-            metrics.push_back({"recovered_p99_us_1pct",
-                               recov_lat.percentile(99.0), false});
-        }
     }
     bench::print_table(table);
-    bench::emit_bench_json(
-        "BENCH_A12.json", 1,
-        "fault injection: goodput and recovery latency vs transient "
-        "media error rate (simulated, deterministic)",
-        metrics);
     return 0;
 }

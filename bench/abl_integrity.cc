@@ -18,10 +18,9 @@
  *      data path on the identical workload — the verify-on-every-read
  *      tax must stay within 5%.
  *
- * Any gate failure aborts the run. Everything is seeded and
- * event-driven, so the numbers are deterministic.
- *
- * Writes BENCH_PR9.json (simulated, deterministic metrics only).
+ * Any gate failure sets the exit code; ctest runs the bench at the
+ * default rot placement. Everything is seeded and event-driven, so the
+ * numbers are deterministic.
  */
 #include <cstdlib>
 #include <cstring>
@@ -43,8 +42,8 @@ constexpr sim::Duration kPhase = 20 * sim::kMs;
 /**
  * Rot-placement seed for the scheduled chaos job (NESC_CHAOS_SEED,
  * date-derived there). It shifts which blocks rot and which byte
- * flips; every gate metric is placement-invariant, so the emitted
- * JSON stays byte-stable across seeds. Unset = 0 = the default run.
+ * flips; every gate metric is placement-invariant, so the gates hold
+ * on every seed. Unset = 0 = the default run.
  */
 std::uint64_t
 chaos_seed()
@@ -315,50 +314,14 @@ main()
     bench::print_table(table);
     bench::print_event_rate();
 
-    bool ok = true;
-    if (det.corrupt_delivered != 0) {
-        std::fprintf(stderr,
-                     "FATAL: %llu corrupt payloads delivered\n",
-                     static_cast<unsigned long long>(
-                         det.corrupt_delivered));
-        ok = false;
-    }
-    if (det.detected_reads != det.seeded) {
-        std::fprintf(stderr,
-                     "FATAL: detected %llu of %llu rotted blocks\n",
-                     static_cast<unsigned long long>(det.detected_reads),
-                     static_cast<unsigned long long>(det.seeded));
-        ok = false;
-    }
-    if (!rep.bit_identical || !rep.data_exact || rep.scrub_errors != 0) {
-        std::fprintf(stderr, "FATAL: scrub repair incomplete\n");
-        ok = false;
-    }
-    if (tax_ratio < 0.95) {
-        std::fprintf(stderr, "FATAL: checksum tax ratio %.4f < 0.95\n",
-                     tax_ratio);
-        ok = false;
-    }
-    if (!ok)
-        return 1;
-
-    bench::emit_bench_json(
-        "BENCH_PR9.json", 9,
-        "end-to-end data integrity: detection, scrub repair from "
-        "replica, and checksum goodput tax (simulated, deterministic)",
-        {
-            {"rot_seeded_blocks", static_cast<double>(det.seeded), true},
-            {"rot_detected_reads",
-             static_cast<double>(det.detected_reads), true},
-            {"corrupt_payloads_delivered",
-             static_cast<double>(det.corrupt_delivered), false},
-            {"scrub_repairs", static_cast<double>(rep.repairs), true},
-            {"scrub_uncorrectable",
-             static_cast<double>(rep.scrub_errors), false},
-            {"scrub_bit_identical", rep.bit_identical ? 1.0 : 0.0, true},
-            {"base_goodput_mb_s", base, true},
-            {"checked_goodput_mb_s", checked, true},
-            {"checksum_tax_ratio", tax_ratio, true},
-        });
-    return 0;
+    bench::gate(det.corrupt_delivered == 0,
+                "zero corrupt payloads delivered");
+    bench::gate(det.seeded > 0 && det.detected_reads == det.seeded,
+                "every rotted block detected (" +
+                    std::to_string(det.detected_reads) + " of " +
+                    std::to_string(det.seeded) + ")");
+    bench::gate(rep.bit_identical && rep.data_exact && rep.scrub_errors == 0,
+                "scrub repairs every rotted copy to bit-identity");
+    bench::gate(tax_ratio >= 0.95, "checksum tax ratio >= 0.95");
+    return bench::gate_exit("abl_integrity");
 }

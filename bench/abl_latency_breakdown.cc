@@ -60,36 +60,21 @@ stage_agrees(const obs::Tracer &tracer, obs::Stage stage,
     return true;
 }
 
-/** One table row's stage means, kept for the machine-readable export. */
-struct StageRow {
-    double arb_us = 0.0;
-    double translate_us = 0.0;
-    double transfer_us = 0.0;
-    double total_us = 0.0;
-    std::uint64_t blocks = 0;
-};
-
 bool
-report_row(util::Table &table, const char *scenario, virt::Testbed &bed,
-           StageRow &out)
+report_row(util::Table &table, const char *scenario, virt::Testbed &bed)
 {
     const auto &queue = bed.controller().stage_queue_wait();
     const auto &translate = bed.controller().stage_translation();
     const auto &transfer = bed.controller().stage_transfer();
     const double total =
         queue.mean() + translate.mean() + transfer.mean();
-    out.arb_us = queue.mean() / 1000.0;
-    out.translate_us = translate.mean() / 1000.0;
-    out.transfer_us = transfer.mean() / 1000.0;
-    out.total_us = total / 1000.0;
-    out.blocks = queue.count();
     table.row()
         .add(scenario)
-        .add(out.arb_us, 2)
-        .add(out.translate_us, 2)
-        .add(out.transfer_us, 2)
-        .add(out.total_us, 2)
-        .add(out.blocks);
+        .add(queue.mean() / 1000.0, 2)
+        .add(translate.mean() / 1000.0, 2)
+        .add(transfer.mean() / 1000.0, 2)
+        .add(total / 1000.0, 2)
+        .add(queue.count());
     const obs::Tracer &tracer = bed.controller().tracer();
     return stage_agrees(tracer, obs::Stage::kQueueWait, queue, scenario) &&
            stage_agrees(tracer, obs::Stage::kTranslate, translate,
@@ -112,7 +97,6 @@ main(int argc, char **argv)
 
     util::Table table({"scenario", "arb_wait_us", "translate_us",
                        "transfer_us", "total_us", "blocks"});
-    StageRow seq, frag, contend;
 
     { // 1. Uncontended sequential reads, contiguous file.
         auto bed = bench::must(virt::Testbed::create(
@@ -127,8 +111,7 @@ main(int argc, char **argv)
         dd.total_bytes = 8ULL << 20;
         bench::must(wl::run_dd_raw(bed->sim(), vm->raw_disk(), dd),
                     "dd");
-        agreed &= report_row(table, "sequential/contiguous", *bed,
-                             seq);
+        agreed &= report_row(table, "sequential/contiguous", *bed);
     }
 
     { // 2. Random reads on a fragmented file, BTLB disabled.
@@ -154,8 +137,7 @@ main(int argc, char **argv)
                                rng.next_below(blocks), 1, buf),
                            "read");
         }
-        agreed &= report_row(table, "random/fragmented/no-BTLB", *bed,
-                             frag);
+        agreed &= report_row(table, "random/fragmented/no-BTLB", *bed);
     }
 
     { // 3. Four VFs contending with deep queues.
@@ -205,28 +187,12 @@ main(int argc, char **argv)
                 submit(i, slot);
         bed->sim().run_until(deadline);
         bed->sim().run_until_idle();
-        agreed &= report_row(table, "4-VF contention", *bed, contend);
+        agreed &= report_row(table, "4-VF contention", *bed);
         if (trace_path != nullptr)
             bench::write_trace(bed->controller().tracer(), trace_path);
     }
 
     bench::print_table(table);
-
-    // Machine-readable form of the latency stack: the headline mean
-    // per scenario plus the stage that scenario exists to expose
-    // (transfer for sequential, translation for fragmented/no-BTLB,
-    // arbitration wait for contention).
-    bench::emit_bench_json(
-        "BENCH_A5.json", 5, "per-block latency breakdown by pipeline stage",
-        {
-            {"seq_total_us", seq.total_us, false},
-            {"seq_transfer_us", seq.transfer_us, false},
-            {"frag_total_us", frag.total_us, false},
-            {"frag_translate_us", frag.translate_us, false},
-            {"contend_total_us", contend.total_us, false},
-            {"contend_arb_wait_us", contend.arb_us, false},
-            {"contend_blocks", static_cast<double>(contend.blocks), true},
-        });
 
     if (!agreed) {
         std::fprintf(stderr,

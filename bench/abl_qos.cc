@@ -21,11 +21,6 @@ main()
 
     util::Table table({"vf1_weight", "vf1_4k_reads", "vf2_4k_reads",
                        "share_ratio"});
-    std::vector<bench::BenchMetric> metrics;
-    static const char *kRatioNames[] = {
-        "share_ratio_weight_1", "share_ratio_weight_2",
-        "share_ratio_weight_4", "share_ratio_weight_8"};
-    int sweep_index = 0;
     for (std::uint32_t weight : {1u, 2u, 4u, 8u}) {
         auto bed = bench::must(virt::Testbed::create(
                                    bench::default_config()),
@@ -83,12 +78,7 @@ main()
             .add(clients[0].completed)
             .add(clients[1].completed)
             .add(ratio);
-        metrics.push_back({kRatioNames[sweep_index++], ratio, true});
     }
     bench::print_table(table);
-    bench::emit_bench_json(
-        "BENCH_A7_QOS.json", 8,
-        "QoS arbitration weight sweep (service-share ratio per weight)",
-        metrics);
     return 0;
 }

@@ -20,7 +20,7 @@
  * the failover timeline — is deterministic; the bench re-runs the
  * failover scenario and checks the timelines match exactly.
  *
- * Writes BENCH_PR7.json (simulated, deterministic metrics only).
+ * Five failover checks gate the exit code, and ctest runs the bench.
  */
 #include "bench/common.h"
 
@@ -198,20 +198,18 @@ main()
                 deterministic ? "yes" : "NO");
     bench::print_event_rate();
 
-    bench::emit_bench_json(
-        "BENCH_PR7.json", 7,
-        "replicated multi-backend storage: quorum writes, failover, "
-        "journaled resync (3 backends, quorum 2, 1 killed mid-run)",
-        {
-            {"local_goodput_mb_s", local, true},
-            {"repl_goodput_mb_s", replicated, true},
-            {"repl_vs_local_ratio", replicated / local, true},
-            {"failover_dent_ratio", during / before, true},
-            {"failover_recovery_ratio", after / before, true},
-            {"failover_latency_ms", failover_ms, false},
-            {"resync_ms", r.resync_ms, false},
-            {"resync_bit_identical", r.bit_identical ? 1.0 : 0.0, true},
-            {"deterministic", deterministic ? 1.0 : 0.0, true},
-        });
-    return 0;
+    bench::gate(during / before >= 0.80,
+                "failover dent ratio >= 0.80: goodput during failover "
+                "within 20% of healthy");
+    bench::gate(after / before >= 0.95,
+                "failover recovery ratio >= 0.95: goodput recovers after "
+                "the dead backend is demoted");
+    bench::gate(failover_ms > 0.0 && failover_ms < 50.0,
+                "failover latency in (0, 50) ms: organic demotion "
+                "happens, and quickly");
+    bench::gate(r.bit_identical,
+                "revived backend bit-identical after resync");
+    bench::gate(deterministic,
+                "failover timeline identical across re-runs");
+    return bench::gate_exit("abl_replication");
 }

@@ -617,17 +617,6 @@ main()
     write_artifact("BENCH_A16_SLO_metrics.prom", first.prometheus);
     write_artifact("BENCH_A16_SLO_postmortem.json", pm.json);
 
-    bench::emit_bench_json(
-        "BENCH_A16_SLO.json", 10, "always-on telemetry plane",
-        {{"obs_on_events_ratio", model.modeled_ratio, true},
-         {"obs_in_situ_ratio", best_ratio, true},
-         {"slow_vf_breaches", static_cast<double>(first.slow_breaches),
-          true},
-         {"healthy_vf_breaches",
-          static_cast<double>(first.healthy_breaches), false},
-         {"postmortems_captured", static_cast<double>(pm.postmortems),
-          true}});
-
     bool failed = false;
     if (model.modeled_ratio < 0.98) {
         std::fprintf(stderr,

@@ -17,8 +17,9 @@
  * scaled configuration (256-entry set-associative BTLB, 256 KiB node
  * cache, coalescing on).
  *
- * Writes BENCH_PR3.json (simulated, deterministic metrics only) for
- * scripts/tier2_perf_smoke.sh to diff against the checked-in baseline.
+ * Gated in-binary and run by ctest: each of nine simulated,
+ * deterministic metrics may move at most 20% in its worse direction
+ * from the value recorded when the fast path landed.
  */
 #include <vector>
 
@@ -210,14 +211,26 @@ run_multi_vf(bool fastpath)
     return result;
 }
 
+/** Largest relative move of a gated metric in its worse direction. */
+constexpr double kTolerance = 0.20;
+
+/**
+ * Gates @p value against its recorded @p reference. The bound is
+ * relative only: the two near-zero metrics (0.0163 and 0.0027) must
+ * hold it too.
+ */
 void
-write_json(const std::vector<bench::BenchMetric> &metrics)
+gate_metric(const char *name, double value, double reference,
+            bool higher_is_better)
 {
-    bench::emit_bench_json(
-        "BENCH_PR3.json", 3,
-        "translation fast path: set-associative BTLB, extent-node cache, "
-        "walk-miss coalescing (simulated, deterministic)",
-        metrics);
+    const bool ok = higher_is_better
+                        ? value >= reference * (1.0 - kTolerance)
+                        : value <= reference * (1.0 + kTolerance);
+    char what[160];
+    std::snprintf(what, sizeof what, "%s: %.4f (reference %.4f, %s)", name,
+                  value, reference,
+                  higher_is_better ? ">= -20%" : "<= +20%");
+    bench::gate(ok, what);
 }
 
 } // namespace
@@ -270,19 +283,22 @@ main()
     bench::print_table(load);
     bench::print_event_rate();
 
-    write_json({
-        {"dma_node_reads_per_miss_qd16_coalesce_off", dma_off_qd16, false},
-        {"dma_node_reads_per_miss_qd16_coalesce_on", dma_on_qd16, false},
-        {"coalesce_dma_reduction_x_qd16",
-         dma_on_qd16 > 0 ? dma_off_qd16 / dma_on_qd16 : 0.0, true},
-        {"iops_k_qd16_8vf_baseline", baseline.kiops, true},
-        {"iops_k_qd16_8vf_fastpath", fastpath.kiops, true},
-        {"btlb_hit_rate_qd16_8vf_baseline", baseline.btlb_hit_rate, true},
-        {"btlb_hit_rate_qd16_8vf_fastpath", fastpath.btlb_hit_rate, true},
-        {"dma_node_reads_per_block_8vf_baseline",
-         baseline.dma_reads_per_block, false},
-        {"dma_node_reads_per_block_8vf_fastpath",
-         fastpath.dma_reads_per_block, false},
-    });
-    return 0;
+    gate_metric("dma_node_reads_per_miss_qd16_coalesce_off", dma_off_qd16,
+                4.0000, false);
+    gate_metric("dma_node_reads_per_miss_qd16_coalesce_on", dma_on_qd16,
+                0.5000, false);
+    gate_metric("coalesce_dma_reduction_x_qd16",
+                dma_on_qd16 > 0 ? dma_off_qd16 / dma_on_qd16 : 0.0, 8.0000,
+                true);
+    gate_metric("iops_k_qd16_8vf_baseline", baseline.kiops, 0.4388, true);
+    gate_metric("iops_k_qd16_8vf_fastpath", fastpath.kiops, 0.7809, true);
+    gate_metric("btlb_hit_rate_qd16_8vf_baseline", baseline.btlb_hit_rate,
+                0.0163, true);
+    gate_metric("btlb_hit_rate_qd16_8vf_fastpath", fastpath.btlb_hit_rate,
+                0.5070, true);
+    gate_metric("dma_node_reads_per_block_8vf_baseline",
+                baseline.dma_reads_per_block, 1.9674, false);
+    gate_metric("dma_node_reads_per_block_8vf_fastpath",
+                fastpath.dma_reads_per_block, 0.0027, false);
+    return bench::gate_exit("abl_walk_coalesce");
 }

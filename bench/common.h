@@ -84,43 +84,32 @@ print_table(const util::Table &table)
     std::cout << std::endl;
 }
 
-/** One machine-readable metric for the per-PR perf-smoke baselines. */
-struct BenchMetric {
-    const char *name;
-    double value;
-    bool higher_is_better;
-};
+/** Failed gates so far; see gate() and gate_exit(). */
+inline int g_gate_failures = 0;
 
 /**
- * Writes the per-PR machine-readable metrics file that the tier-2
- * perf-smoke scripts diff against checked-in baselines. The format is
- * frozen — scripts/tier2_perf_smoke.sh does a byte diff, so values are
- * always %.4f and field order never changes.
+ * Prints one deterministic acceptance gate's verdict and counts a
+ * failure. Benches with gates are registered with ctest, so a failed
+ * gate fails the test suite through gate_exit()'s exit code.
  */
 inline void
-emit_bench_json(const char *path, int pr, const char *description,
-                const std::vector<BenchMetric> &metrics)
+gate(bool ok, const std::string &what)
 {
-    std::FILE *f = std::fopen(path, "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "FATAL: cannot write %s\n", path);
-        std::exit(1);
+    std::printf("[gate] %-4s %s\n", ok ? "ok" : "FAIL", what.c_str());
+    if (!ok)
+        ++g_gate_failures;
+}
+
+/** Prints the gate summary and returns the bench's exit code. */
+inline int
+gate_exit(const char *bench)
+{
+    if (g_gate_failures != 0) {
+        std::printf("\n%s: %d gate(s) FAILED\n", bench, g_gate_failures);
+        return 1;
     }
-    std::fprintf(f, "{\n  \"pr\": %d,\n", pr);
-    std::fprintf(f, "  \"description\": \"%s\",\n", description);
-    std::fprintf(f, "  \"metrics\": [\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-        std::fprintf(
-            f,
-            "    {\"metric\": \"%s\", \"value\": %.4f, "
-            "\"higher_is_better\": %s}%s\n",
-            metrics[i].name, metrics[i].value,
-            metrics[i].higher_is_better ? "true" : "false",
-            i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s (%zu metrics)\n", path, metrics.size());
+    std::printf("\n%s: all gates passed\n", bench);
+    return 0;
 }
 
 /** Returns the value following a "--trace" argument, or nullptr. */

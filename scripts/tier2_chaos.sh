@@ -30,13 +30,14 @@ export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1"
 export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 export NESC_FUZZ_EVENTS="${NESC_FUZZ_EVENTS:-2500}"
 
-"$build/tests/test_integrity"
-"$build/tests/test_fault_injection"
-"$build/tests/test_adversarial"
-
-# Gated in-binary: any detection/repair/overhead gate failure exits 1.
+# Each run's output is kept as <build-dir>/chaos/<binary>.out.
 run="$build/chaos"
 mkdir -p "$run"
-(cd "$run" && "$build/bench/abl_integrity")
+for t in test_integrity test_fault_injection test_adversarial; do
+  "$build/tests/$t" | tee "$run/$t.out"
+done
+
+# Gated in-binary: any detection/repair/overhead gate failure exits 1.
+"$build/bench/abl_integrity" | tee "$run/abl_integrity.out"
 
 echo "chaos run passed (seed $NESC_CHAOS_SEED)"

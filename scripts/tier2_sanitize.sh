@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-2 check: build the whole tree with ASan+UBSan and run the full
-# test suite under the sanitizers. Slower than tier-1 (`ctest` on a
-# plain build), so it is a separate opt-in pass.
+# test suite under the sanitizers, the gated bench binaries included.
+# Slower than tier-1 (`ctest` on a plain build), so it is a separate
+# opt-in pass.
 #
 # Usage: scripts/tier2_sanitize.sh [build-dir]
 set -euo pipefail

@@ -4,9 +4,9 @@
 # Usage: golden_figures.sh <golden_dir> <fig_binary>...
 #
 # Runs each figure binary and diffs its stdout against
-# <golden_dir>/<basename>.out. The goldens were captured from the
-# pre-batching simulator, so any drift means the event-loop or
-# batching work changed observable behavior — a hard failure.
+# <golden_dir>/<basename>.out. The figures are simulated and
+# deterministic, so any drift means a change altered the model's
+# observable behavior — a hard failure.
 set -u
 
 golden_dir=$1
